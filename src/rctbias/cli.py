@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import harness, mnist
@@ -72,6 +73,18 @@ def _seed_tuple(seeds, seed_list) -> tuple:
     if seed_list is not None:
         return _int_list(seed_list)
     return tuple(range(int(seeds)))
+
+
+@contextmanager
+def _parsed_values():
+    """Report an option value that does not parse (``seeds=two``) as a usage
+    error rather than letting the bare ValueError escape."""
+    try:
+        yield
+    except RctBiasError:
+        raise
+    except ValueError as exc:
+        raise RctBiasError(f"bad option value: {exc}") from None
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -144,17 +157,18 @@ def _cmd_simulate(args) -> int:
         "threshold": 0.5, "workers": None,
     })
     _require(resolved, "out")
-    config = harness.RunConfig(
-        experiment=harness.CONVERGENCE_EXPERIMENT,
-        seeds=_seed_tuple(resolved["seeds"], resolved["seed_list"]),
-        output_dir=resolved["out"],
-        sample_sizes=_int_list(resolved["sizes"]),
-        p_t=float(resolved["p_t"]), sigma2_y=float(resolved["sigma2_y"]),
-        learning_rate=_opt_float(resolved["learning_rate"]),
-        epochs=_opt_int(resolved["epochs"]),
-        batch_size=_opt_int(resolved["batch_size"]),
-        threshold=float(resolved["threshold"]),
-        workers=_opt_int(resolved["workers"]))
+    with _parsed_values():
+        config = harness.RunConfig(
+            experiment=harness.CONVERGENCE_EXPERIMENT,
+            seeds=_seed_tuple(resolved["seeds"], resolved["seed_list"]),
+            output_dir=resolved["out"],
+            sample_sizes=_int_list(resolved["sizes"]),
+            p_t=float(resolved["p_t"]), sigma2_y=float(resolved["sigma2_y"]),
+            learning_rate=_opt_float(resolved["learning_rate"]),
+            epochs=_opt_int(resolved["epochs"]),
+            batch_size=_opt_int(resolved["batch_size"]),
+            threshold=float(resolved["threshold"]),
+            workers=_opt_int(resolved["workers"]))
     report = harness.run_convergence_study(config)
     return _finish(report, resolved["out"])
 
@@ -165,9 +179,11 @@ def _cmd_mnist_gen(args) -> int:
         "mnist_images": None, "mnist_labels": None,
     })
     _require(resolved, "out", "mnist_images", "mnist_labels")
+    with _parsed_values():
+        d, seed = int(resolved["d"]), int(resolved["seed"])
     archive = mnist.load_idx(resolved["mnist_images"], resolved["mnist_labels"])
-    spec = mnist.build_population(int(resolved["d"]))
-    dataset = mnist.generate(archive, spec, seed=int(resolved["seed"]))
+    spec = mnist.build_population(d)
+    dataset = mnist.generate(archive, spec, seed=seed)
     dataset.save(resolved["out"])
     print(f"wrote {len(dataset)} colored digits to {resolved['out']} "
           f"(d={spec.d}, designed ATE={spec.ate})")
@@ -182,20 +198,21 @@ def _cmd_experiment(args) -> int:
         "threshold": 0.5, "validation_size": None, "workers": None,
     })
     _require(resolved, "out", "mnist_images", "mnist_labels")
-    config = harness.RunConfig(
-        experiment=harness.MNIST_EXPERIMENT,
-        seeds=_seed_tuple(resolved["seeds"], resolved["seed_list"]),
-        output_dir=resolved["out"],
-        mnist_images=resolved["mnist_images"],
-        mnist_labels=resolved["mnist_labels"],
-        schemes=_str_list(resolved["schemes"]),
-        digit_threshold=int(resolved["d"]),
-        learning_rate=_opt_float(resolved["learning_rate"]),
-        epochs=_opt_int(resolved["epochs"]),
-        batch_size=_opt_int(resolved["batch_size"]),
-        threshold=float(resolved["threshold"]),
-        validation_size=_opt_int(resolved["validation_size"]),
-        workers=_opt_int(resolved["workers"]))
+    with _parsed_values():
+        config = harness.RunConfig(
+            experiment=harness.MNIST_EXPERIMENT,
+            seeds=_seed_tuple(resolved["seeds"], resolved["seed_list"]),
+            output_dir=resolved["out"],
+            mnist_images=resolved["mnist_images"],
+            mnist_labels=resolved["mnist_labels"],
+            schemes=_str_list(resolved["schemes"]),
+            digit_threshold=int(resolved["d"]),
+            learning_rate=_opt_float(resolved["learning_rate"]),
+            epochs=_opt_int(resolved["epochs"]),
+            batch_size=_opt_int(resolved["batch_size"]),
+            threshold=float(resolved["threshold"]),
+            validation_size=_opt_int(resolved["validation_size"]),
+            workers=_opt_int(resolved["workers"]))
     report = harness.run_mnist_bias_study(config)
     return _finish(report, resolved["out"])
 

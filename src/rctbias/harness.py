@@ -121,7 +121,11 @@ def resolve_workers(config: RunConfig) -> int:
         return max(1, int(config.workers))
     env = os.environ.get(WORKERS_ENV_VAR)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigurationError(
+                f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
     return 1
 
 

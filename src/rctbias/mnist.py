@@ -212,14 +212,32 @@ def draw_colors(y: np.ndarray, spec: PopulationSpec, seed: int):
     return b_of_cell[cell], p_of_cell[cell]
 
 
+def _blend_table() -> np.ndarray:
+    """(background, pen, ink value) -> RGB bytes, shape (2, 2, 256, 3): the
+    float32 blend of ``colorize`` evaluated once for every possible pixel."""
+    v = np.arange(256, dtype=np.float32)[:, None] / np.float32(255.0)
+    bg = np.array([BACKGROUND_COLORS[0], BACKGROUND_COLORS[1]],
+                  dtype=np.float32)[:, None, None, :]
+    pen = np.array([PEN_COLORS[0], PEN_COLORS[1]],
+                   dtype=np.float32)[None, :, None, :]
+    return np.rint(v * pen + (1.0 - v) * bg).astype(np.uint8)
+
+
+_BLEND_TABLE = _blend_table()
+
+
 def colorize(gray: np.ndarray, b, p) -> np.ndarray:
     """Blend a grayscale image (or a stack of them) into RGB.
 
     Per pixel with ink value v in 0..255 the output is the convex blend
-    (v/255) * pen_color + (1 - v/255) * background_color, rounded to the
-    nearest integer channel value. Accepts a single (H, W) image with
-    scalar bits or an (n, H, W) stack with bit vectors; returns channel-last
-    RGB bytes.
+    (v/255) * pen_color + (1 - v/255) * background_color, computed in
+    float32 and rounded to the nearest integer channel value. Accepts a
+    single (H, W) image with scalar bits or an (n, H, W) stack with bit
+    vectors; returns channel-last RGB bytes.
+
+    A pixel's output depends only on (b, p, v), so the blend is evaluated
+    once per possible pixel and each image is a lookup into that table: no
+    float copy of the stack is made.
     """
     gray = np.asarray(gray)
     single = gray.ndim == 2
@@ -229,13 +247,7 @@ def colorize(gray: np.ndarray, b, p) -> np.ndarray:
         p = np.atleast_1d(p)
     b = np.asarray(b).astype(np.int8)
     p = np.asarray(p).astype(np.int8)
-    v = gray.astype(np.float32) / np.float32(255.0)
-    bg = np.array([BACKGROUND_COLORS[0], BACKGROUND_COLORS[1]],
-                  dtype=np.float32)[b]          # (n, 3)
-    pen = np.array([PEN_COLORS[0], PEN_COLORS[1]], dtype=np.float32)[p]
-    blend = (v[..., None] * pen[:, None, None, :]
-             + (1.0 - v[..., None]) * bg[:, None, None, :])
-    out = np.rint(blend).astype(np.uint8)
+    out = _BLEND_TABLE[b[:, None, None], p[:, None, None], gray]
     return out[0] if single else out
 
 

@@ -12,7 +12,17 @@ moment constants (0.9, 0.9, 1e-8), and all randomness (initialization,
 shuffling) derives from the config seed, so identical config and data
 reproduce identical parameters bit for bit. Convolutions are evaluated
 as a banded matrix product over row windows, which trades some redundant
-multiply-adds for BLAS-friendly memory access.
+multiply-adds for BLAS-friendly memory access. A training step builds
+each band matrix once and its backward pass reuses it.
+
+Inference (``predict_soft``) keeps the caller's input as it is, pixel
+bytes for images, and casts one batch of PREDICT_BATCH units at a time,
+so memory holds one float batch rather than a float copy of the input.
+Its forward pass keeps no backward cache and pools each raw convolution
+product before adding the bias and applying ReLU in place on the
+quarter-size result. That gives the training forward's probabilities bit
+for bit: rounding is monotone, so max(a) + c == max(a + c), and ReLU
+commutes with max.
 
 Compute dtypes are fixed per release: float64 for logistic and MLP,
 float32 for the convolutional network. Gradient checks can request
@@ -46,6 +56,7 @@ CONV2_FILTERS = 50
 CONV_FC_WIDTH = 500
 PIXEL_SCALE = 1.0 / 255.0  # per-channel scaling to [0, 1]
 PIXEL_CENTER = 0.5         # subtracted from every channel after scaling
+PREDICT_BATCH = 512        # units per inference batch in predict_soft
 
 
 @dataclass(frozen=True)
@@ -219,23 +230,25 @@ class _ConvPlan:
             dx[:, di:di + self.oh] += d_rows[:, :, di]
         return dx
 
-    def forward(self, x, kernel, bias):
-        b = x.shape[0]
+    def product(self, x, kernel):
+        """Convolution without the bias: (B, OH, OW, C_out), plus the row
+        windows and band matrix the backward pass reuses."""
         rows = self.row_windows(x)
-        out = (rows @ self.band(kernel, x.dtype)).reshape(
-            b, self.oh, self.ow, self.c_out)
-        out += bias
-        return out, rows
+        band = self.band(kernel, x.dtype)
+        out = (rows @ band).reshape(x.shape[0], self.oh, self.ow, self.c_out)
+        return out, rows, band
 
-    def backward(self, d_out, rows, kernel, batch, need_dx=True):
+    def backward(self, d_out, rows, batch, band=None):
+        """Kernel and bias gradients; the input gradient too when given the
+        forward pass's band matrix (None otherwise)."""
         dtype = d_out.dtype
         d_flat = d_out.reshape(-1, self.ow * self.c_out)
         d_band = rows.T @ d_flat
         d_kernel = self.kernel_grad(d_band).astype(dtype, copy=False)
         d_bias = d_out.sum(axis=(0, 1, 2))
         dx = None
-        if need_dx:
-            d_rows = d_flat @ self.band(kernel, dtype).T
+        if band is not None:
+            d_rows = d_flat @ band.T
             dx = self.fold_rows(d_rows, batch)
         return dx, d_kernel, d_bias
 
@@ -290,27 +303,33 @@ def _compute_dtype(arch):
     return np.float32 if arch["kind"] == "convnet" else np.float64
 
 
+def _check_inputs(arch: dict, xs: np.ndarray) -> None:
+    """Raise DomainError unless ``xs`` has the architecture's input shape."""
+    kind = arch["kind"]
+    if kind in ("logistic", "mlp"):
+        features = xs.shape[1] if xs.ndim == 2 else 1 if xs.ndim == 1 else None
+        if features != arch["in_dim"]:
+            raise DomainError(
+                f"{kind} expects features of dimension {arch['in_dim']}, "
+                f"got array of shape {xs.shape}")
+        return
+    expected = (arch["height"], arch["width"], arch["channels"])
+    if xs.ndim != 4 or xs.shape[1:] != expected:
+        raise DomainError(
+            f"convnet expects images of shape (n, {expected[0]}, {expected[1]}, "
+            f"{expected[2]}), got {xs.shape}")
+
+
 def prepare_inputs(arch: dict, xs, dtype=None) -> np.ndarray:
     """Validate input shape against the architecture and cast; convolutional
     inputs are pixel bytes, rescaled to [0,1] and centered at 0.5."""
     if dtype is None:
         dtype = _compute_dtype(arch)
     xs = np.asarray(xs)
-    kind = arch["kind"]
-    if kind in ("logistic", "mlp"):
+    _check_inputs(arch, xs)
+    if arch["kind"] in ("logistic", "mlp"):
         x = xs.astype(dtype, copy=False)
-        if x.ndim == 1:
-            x = x[:, None]
-        if x.ndim != 2 or x.shape[1] != arch["in_dim"]:
-            raise DomainError(
-                f"{kind} expects features of dimension {arch['in_dim']}, "
-                f"got array of shape {xs.shape}")
-        return x
-    expected = (arch["height"], arch["width"], arch["channels"])
-    if xs.ndim != 4 or xs.shape[1:] != expected:
-        raise DomainError(
-            f"convnet expects images of shape (n, {expected[0]}, {expected[1]}, "
-            f"{expected[2]}), got {xs.shape}")
+        return x[:, None] if x.ndim == 1 else x
     return xs.astype(dtype) * dtype(PIXEL_SCALE) - dtype(PIXEL_CENTER)
 
 
@@ -327,19 +346,29 @@ def _forward(arch, p, x, want_cache):
         prob = expit(z)
         return prob, (x, a, h, prob) if want_cache else None
     plan1, plan2 = _plans(arch)
-    a1, rows1 = plan1.forward(x, p["k1"], p["c1"])
-    r1 = np.maximum(a1, 0) if want_cache else np.maximum(a1, 0, out=a1)
-    p1, masks1 = _pool_forward(r1, want_masks=want_cache)
-    a2, rows2 = plan2.forward(p1, p["k2"], p["c2"])
-    r2 = np.maximum(a2, 0) if want_cache else np.maximum(a2, 0, out=a2)
-    p2, masks2 = _pool_forward(r2, want_masks=want_cache)
+    if not want_cache:
+        # inference: pool first, then bias and ReLU (see the module docstring)
+        p1 = _pool_forward(plan1.product(x, p["k1"])[0], want_masks=False)[0]
+        np.maximum(np.add(p1, p["c1"], out=p1), 0, out=p1)
+        p2 = _pool_forward(plan2.product(p1, p["k2"])[0], want_masks=False)[0]
+        np.maximum(np.add(p2, p["c2"], out=p2), 0, out=p2)
+        h3 = np.maximum(p2.reshape(x.shape[0], -1) @ p["w3"] + p["b3"], 0)
+        return expit(h3 @ p["w4"] + p["b4"]), None
+    a1, rows1, _ = plan1.product(x, p["k1"])
+    a1 += p["c1"]
+    r1 = np.maximum(a1, 0)
+    p1, masks1 = _pool_forward(r1)
+    a2, rows2, band2 = plan2.product(p1, p["k2"])
+    a2 += p["c2"]
+    r2 = np.maximum(a2, 0)
+    p2, masks2 = _pool_forward(r2)
     flat = p2.reshape(x.shape[0], -1)
     a3 = flat @ p["w3"] + p["b3"]
     h3 = np.maximum(a3, 0)
     z = h3 @ p["w4"] + p["b4"]
     prob = expit(z)
-    cache = (x, rows1, a1, r1.shape, masks1, p1, rows2, a2, r2.shape,
-             masks2, flat, a3, h3, prob) if want_cache else None
+    cache = (x, rows1, a1, r1.shape, masks1, p1, rows2, band2, a2, r2.shape,
+             masks2, flat, a3, h3, prob)
     return prob, cache
 
 
@@ -363,7 +392,7 @@ def _backward(arch, p, cache, y, pos_weight, grads):
         grads["w1"][...] = x.T @ dh
         grads["b1"][...] = dh.sum(axis=0)
         return
-    (x, rows1, a1, r1_shape, masks1, p1, rows2, a2, r2_shape,
+    (x, rows1, a1, r1_shape, masks1, p1, rows2, band2, a2, r2_shape,
      masks2, flat, a3, h3, prob) = cache
     plan1, plan2 = _plans(arch)
     batch = len(y)
@@ -377,11 +406,11 @@ def _backward(arch, p, cache, y, pos_weight, grads):
     dp2 = (dh3 @ p["w3"].T).reshape(batch, r2_shape[1] // 2,
                                     r2_shape[2] // 2, CONV2_FILTERS)
     da2 = _pool_backward(dp2, masks2, r2_shape) * (a2 > 0)
-    dp1, dk2, dc2 = plan2.backward(da2, rows2, p["k2"], batch)
+    dp1, dk2, dc2 = plan2.backward(da2, rows2, batch, band2)
     grads["k2"][...] = dk2
     grads["c2"][...] = dc2
     da1 = _pool_backward(dp1, masks1, r1_shape) * (a1 > 0)
-    _, dk1, dc1 = plan1.backward(da1, rows1, p["k1"], batch, need_dx=False)
+    _, dk1, dc1 = plan1.backward(da1, rows1, batch)
     grads["k1"][...] = dk1
     grads["c1"][...] = dc1
 
@@ -505,17 +534,24 @@ def train(d_s: Dataset, config: TrainConfig) -> Predictor:
                      train_config=config, loss_trace=tuple(trace))
 
 
-def predict_soft(predictor: Predictor, xs, batch_size: int = 1024) -> np.ndarray:
-    """Elementwise scores in [0, 1]; a pure function of parameters and input."""
+def predict_soft(predictor: Predictor, xs) -> np.ndarray:
+    """Elementwise scores in [0, 1]; a pure function of parameters and input.
+
+    The whole input's shape is checked before any batch is scored; inputs
+    are then cast to the compute dtype one batch of PREDICT_BATCH units at a
+    time.
+    """
     arch = predictor.architecture
     dtype = _compute_dtype(arch)
     params = predictor.params.astype(dtype)
     p = unpack_params(params, arch)
-    x = prepare_inputs(arch, xs, dtype)
-    out = np.empty(len(x), dtype=np.float64)
-    for lo in range(0, len(x), batch_size):
-        prob, _ = _forward(arch, p, x[lo:lo + batch_size], want_cache=False)
-        out[lo:lo + batch_size] = prob
+    xs = np.asarray(xs)
+    _check_inputs(arch, xs)
+    out = np.empty(len(xs), dtype=np.float64)
+    for lo in range(0, len(xs), PREDICT_BATCH):
+        x = prepare_inputs(arch, xs[lo:lo + PREDICT_BATCH], dtype)
+        prob, _ = _forward(arch, p, x, want_cache=False)
+        out[lo:lo + PREDICT_BATCH] = prob
     return out
 
 

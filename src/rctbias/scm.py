@@ -75,14 +75,15 @@ class Sample:
 class Dataset:
     """Ordered collection of samples stored column-wise.
 
-    Columns are read-only numpy arrays. ``x`` holds scalar observations for
-    the synthetic RCT or an image array of shape (n, H, W, C) for image
-    benchmarks. The annotation flag ``s`` partitions the data into the
-    annotated pool (s=1) and the unannotated pool (s=0).
+    Columns are read-only views of the arrays passed in, so the caller's
+    arrays stay writeable and no column is copied. ``x`` holds scalar
+    observations for the synthetic RCT or an image array of shape
+    (n, H, W, C) for image benchmarks. The annotation flag ``s`` partitions
+    the data into the annotated pool (s=1) and the unannotated pool (s=0).
     """
 
     def __init__(self, w, t, x, y, s, provenance: Optional[dict] = None):
-        w, t, x, y, s = (np.asarray(a) for a in (w, t, x, y, s))
+        w, t, x, y, s = (np.asarray(a).view() for a in (w, t, x, y, s))
         n = len(w)
         for name, col in (("t", t), ("x", x), ("y", y), ("s", s)):
             if len(col) != n:

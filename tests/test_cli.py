@@ -47,6 +47,17 @@ class TestSimulate:
         assert code == 1
         assert json.loads(err)["status"] == "error"
 
+    def test_non_integer_config_value_fails(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("seeds=two\n")
+        code, _, err = run_cli([
+            "simulate", "--config", str(conf), "--out", str(tmp_path / "x")],
+            capsys)
+        assert code == 1
+        summary = json.loads(err)
+        assert summary["status"] == "error"
+        assert "two" in summary["message"]
+
     def test_missing_output_dir_fails(self, capsys):
         code, _, err = run_cli(["simulate", "--seeds", "1"], capsys)
         assert code == 1
@@ -77,6 +88,19 @@ class TestMnistGen:
             "--mnist-labels", str(tmp_path / "nope2.idx")], capsys)
         assert code == 1
         assert json.loads(err)["status"] == "error"
+
+
+def test_non_integer_worker_variable_fails(tmp_path, capsys, monkeypatch,
+                                           digit_archive_paths):
+    images, labels = digit_archive_paths
+    monkeypatch.setenv("RCTBIAS_WORKERS", "many")
+    code, _, err = run_cli([
+        "experiment", "--mnist-images", images, "--mnist-labels", labels,
+        "--seeds", "1", "--out", str(tmp_path / "exp")], capsys)
+    assert code == 1
+    summary = json.loads(err)
+    assert summary["status"] == "error"
+    assert "RCTBIAS_WORKERS" in summary["message"]
 
 
 @pytest.mark.slow

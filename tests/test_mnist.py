@@ -5,7 +5,8 @@ import pytest
 
 from rctbias import (DomainError, IdxFormatError, build_population, colorize,
                      draw_colors, generate, load_idx, read_idx, write_idx)
-from rctbias.mnist import CausalMnistDataset, MnistArchive
+from rctbias.mnist import (BACKGROUND_COLORS, PEN_COLORS, CausalMnistDataset,
+                           MnistArchive)
 
 
 class TestIdxFormat:
@@ -152,6 +153,34 @@ class TestColorize:
                 assert bg_pixel == ((0, 255, 0) if b else (255, 0, 0))
                 assert ink_pixel == ((255, 255, 255) if p
                                      else (0, 0, 0))
+
+
+def float_blend(gray, b, p):
+    """The float32 blend colorize is defined by, computed on the whole stack."""
+    v = gray.astype(np.float32) / np.float32(255.0)
+    bg = np.array([BACKGROUND_COLORS[0], BACKGROUND_COLORS[1]],
+                  dtype=np.float32)[b]
+    pen = np.array([PEN_COLORS[0], PEN_COLORS[1]], dtype=np.float32)[p]
+    blend = (v[..., None] * pen[:, None, None, :]
+             + (1.0 - v[..., None]) * bg[:, None, None, :])
+    return np.rint(blend).astype(np.uint8)
+
+
+class TestColorizeMatchesFloatBlend:
+    def test_every_ink_value_and_color_pair(self):
+        gray = np.tile(np.arange(256, dtype=np.uint8).reshape(16, 16), (4, 1, 1))
+        b = np.array([0, 0, 1, 1], dtype=np.int8)
+        p = np.array([0, 1, 0, 1], dtype=np.int8)
+        assert np.array_equal(colorize(gray, b, p), float_blend(gray, b, p))
+
+    def test_random_stack(self):
+        rng = np.random.default_rng(11)
+        gray = rng.integers(0, 256, size=(300, 28, 28), dtype=np.uint8)
+        b = rng.integers(0, 2, size=300).astype(np.int8)
+        p = rng.integers(0, 2, size=300).astype(np.int8)
+        out = colorize(gray, b, p)
+        assert out.dtype == np.uint8 and out.shape == (300, 28, 28, 3)
+        assert np.array_equal(out, float_blend(gray, b, p))
 
 
 class TestGenerate:

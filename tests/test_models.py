@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -99,7 +101,7 @@ class TestConvPlan:
         x = rng.normal(size=(2, 10, 9, 2))
         kernel = rng.normal(size=(5, 5, 2, 3))
         bias = rng.normal(size=3)
-        out, _ = plan.forward(x, kernel, bias)
+        out = plan.product(x, kernel)[0] + bias
         naive = np.zeros_like(out)
         for b in range(2):
             for i in range(plan.oh):
@@ -257,6 +259,61 @@ class TestPredictSoft:
         gap = np.abs(predict_soft(pred, grid)
                      - oracle_conditional_mean(grid, 1.0)).max()
         assert gap < 0.05
+
+
+CONV_ARCH = {"kind": "convnet", "height": 28, "width": 28, "channels": 3}
+
+
+def conv_predictor():
+    return Predictor(architecture=CONV_ARCH,
+                     params=models.init_params(CONV_ARCH, seed=0))
+
+
+class TestInference:
+    def test_inference_forward_equals_training_forward(self):
+        # centered inputs are negative on the background, and the constant
+        # background makes many windows, and so many pooled maxima, tie
+        rng = np.random.default_rng(8)
+        for trial in range(3):
+            x = rng.normal(size=(16, 28, 28, 3)).astype(np.float32)
+            x[:8, :, :14] = np.float32(-0.5)
+            x[8:, 10:] = np.float32(0.25)
+            params = models.init_params(CONV_ARCH, seed=trial).astype(np.float32)
+            p = models.unpack_params(params, CONV_ARCH)
+            fast, _ = models._forward(CONV_ARCH, p, x, want_cache=False)
+            ref, _ = models._forward(CONV_ARCH, p, x, want_cache=True)
+            assert fast.dtype == ref.dtype == np.float32
+            assert np.array_equal(fast, ref)
+
+    def test_scores_when_count_is_not_a_batch_multiple(self, monkeypatch):
+        monkeypatch.setattr(models, "PREDICT_BATCH", 64)
+        rng = np.random.default_rng(9)
+        xs = rng.integers(0, 256, size=(2 * 64 + 37, 28, 28, 3), dtype=np.uint8)
+        pred = conv_predictor()
+        p = models.unpack_params(pred.params.astype(np.float32), CONV_ARCH)
+        x = models.prepare_inputs(CONV_ARCH, xs)
+        ref = np.concatenate([
+            models._forward(CONV_ARCH, p, x[lo:lo + 64], want_cache=True)[0]
+            for lo in range(0, len(x), 64)])
+        scores = predict_soft(pred, xs)
+        assert scores.shape == (len(xs),) and scores.dtype == np.float64
+        assert np.array_equal(scores, ref)
+
+    def test_peak_memory_does_not_grow_with_the_input(self):
+        rng = np.random.default_rng(10)
+        xs = rng.integers(0, 256, size=(8192, 28, 28, 3), dtype=np.uint8)
+        pred = conv_predictor()
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                predict_soft(pred, xs[:n])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        float_copy_2048 = 2048 * 28 * 28 * 3 * 4
+        assert peak(8192) - peak(2048) < float_copy_2048
 
 
 class TestDiscretize:

@@ -142,6 +142,18 @@ class TestDataset:
         with pytest.raises(ValueError):
             ds.y[0] = 1
 
+    def test_columns_are_views_that_leave_the_caller_writeable(self):
+        x = np.arange(6.0)
+        cols = {"w": np.zeros(6), "t": np.ones(6, dtype=np.int8), "x": x,
+                "y": np.ones(6, dtype=np.int8), "s": np.ones(6, dtype=np.int8)}
+        ds = Dataset(**cols)
+        for name, col in cols.items():
+            assert col.flags.writeable
+            assert not getattr(ds, name).flags.writeable
+            assert np.shares_memory(getattr(ds, name), col)
+        x[0] = 7.0
+        assert ds.x[0] == 7.0
+
     def test_csv_round_trip(self, tmp_path):
         ds = sample_rct(ScmConfig(0.4, 1.5, 200, seed=9))
         path = tmp_path / "data.csv"
