@@ -86,6 +86,9 @@ class RunConfig:
             raise ConfigurationError("seed list must be nonempty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigurationError("seed list must be duplicate-free")
+        if self.workers is not None and self.workers < 1:
+            raise ConfigurationError(
+                f"workers must be >= 1, got {self.workers}")
         for scheme in self.schemes:
             if scheme not in MNIST_SCHEMES:
                 raise ConfigurationError(
@@ -118,15 +121,19 @@ def config_hash(config: RunConfig) -> str:
 
 def resolve_workers(config: RunConfig) -> int:
     if config.workers is not None:
-        return max(1, int(config.workers))
+        return config.workers
     env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigurationError(
-                f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
-    return 1
+    if not env:
+        return 1
+    try:
+        workers = int(env)
+    except ValueError:
+        raise ConfigurationError(
+            f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
+    if workers < 1:
+        raise ConfigurationError(
+            f"{WORKERS_ENV_VAR} must be >= 1, got {env!r}")
+    return workers
 
 
 def _subseeds(seed: int, n: int) -> list:

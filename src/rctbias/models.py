@@ -10,19 +10,41 @@ Everything is plain numpy with hand-written backpropagation: parameters
 live in one flat vector per model, training is mini-batch Adam with
 moment constants (0.9, 0.9, 1e-8), and all randomness (initialization,
 shuffling) derives from the config seed, so identical config and data
-reproduce identical parameters bit for bit. Convolutions are evaluated
-as a banded matrix product over row windows, which trades some redundant
-multiply-adds for BLAS-friendly memory access. A training step builds
-each band matrix once and its backward pass reuses it.
+reproduce identical parameters bit for bit.
+
+Convolutions are im2col matrix products (Chellapilla, Puri & Simard 2006):
+each layer copies its 5x5 input patches into the rows of a matrix whose
+columns run in (di, dj, channel) order, so the kernel is a plain matrix
+and both the forward product and the kernel gradient are one GEMM. The
+input gradient adds the output gradient's product with each of the 25
+kernel taps back at the tap's offset. Each convolution block pools first:
+the raw product is max-pooled, keeping the routing masks when training,
+and the bias and ReLU are applied in place on the quarter-size result.
+That equals bias and ReLU before pooling, because rounding is monotone, so
+max(a) + c == max(a + c), and ReLU commutes with max. Training and
+inference share this one forward pass.
+
+Training runs with numpy's OpenBLAS pinned to one thread. A step is a
+chain of thin GEMMs, and two BLAS threads meet at a barrier in each of
+them, so a step stalls whenever another process holds the second core.
+On a two-vCPU VM a batch-64 step took 31-36 ms (median) with two BLAS
+threads on idle cores but 57-67 ms with one core busy, against a steady
+40-45 ms on one thread either way. Pinned, the trained parameters also
+do not depend on the machine's BLAS thread count.
 
 Inference (``predict_soft``) keeps the caller's input as it is, pixel
-bytes for images, and casts one batch of PREDICT_BATCH units at a time,
-so memory holds one float batch rather than a float copy of the input.
-Its forward pass keeps no backward cache and pools each raw convolution
-product before adding the bias and applying ReLU in place on the
-quarter-size result. That gives the training forward's probabilities bit
-for bit: rounding is monotone, so max(a) + c == max(a + c), and ReLU
-commutes with max.
+bytes for images, and casts one batch of PREDICT_BATCH_BYTES of input at a
+time (55 images, or 65,536 scalar units), so memory holds a float batch
+per thread rather than a float copy of the input. A thread pool scores
+the batches on the usable cores, with numpy's OpenBLAS pinned to one
+thread for the call: a batch is mostly numpy copies and small GEMMs that
+BLAS threads barely speed up, while independent batches do scale, and
+with one BLAS thread the scores do not depend on the core count. A pool
+worker process scores on one thread, since its siblings use the other
+cores. Before the first thread pool starts, glibc's malloc is limited to
+its main arena: each thread would otherwise get an arena of its own,
+which keeps the freed batch buffers while later phases allocate on top of
+them.
 
 Compute dtypes are fixed per release: float64 for logistic and MLP,
 float32 for the convolutional network. Gradient checks can request
@@ -31,12 +53,20 @@ float64 through ``loss_and_grad``.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import json
+import math
+import multiprocessing
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expit
 
 from .errors import ConfigurationError, DomainError, TrainingError
@@ -56,7 +86,8 @@ CONV2_FILTERS = 50
 CONV_FC_WIDTH = 500
 PIXEL_SCALE = 1.0 / 255.0  # per-channel scaling to [0, 1]
 PIXEL_CENTER = 0.5         # subtracted from every channel after scaling
-PREDICT_BATCH = 512        # units per inference batch in predict_soft
+PREDICT_BATCH_BYTES = 512 * 1024  # cast input per batch in predict_soft
+_M_ARENA_MAX = -8          # glibc's mallopt parameter number
 
 
 @dataclass(frozen=True)
@@ -112,15 +143,12 @@ class Predictor:
 # --------------------------------------------------------------------------
 # architecture descriptors and parameter packing
 
-def _conv_dims(arch):
-    h, w, c = arch["height"], arch["width"], arch["channels"]
-    k = CONV_KERNEL
-    h1, w1 = h - k + 1, w - k + 1            # after conv1
-    hp1, wp1 = h1 // 2, w1 // 2              # after pool1
-    h2, w2 = hp1 - k + 1, wp1 - k + 1        # after conv2
-    hp2, wp2 = h2 // 2, w2 // 2              # after pool2
-    flat = hp2 * wp2 * CONV2_FILTERS
-    return (h1, w1), (hp1, wp1), (h2, w2), (hp2, wp2), flat
+def _flat_dim(arch):
+    """Length of the flattened output of the two conv-pool blocks."""
+    h, w = arch["height"], arch["width"]
+    for _ in range(2):
+        h, w = (h - CONV_KERNEL + 1) // 2, (w - CONV_KERNEL + 1) // 2
+    return h * w * CONV2_FILTERS
 
 
 def param_layout(arch: dict) -> list:
@@ -136,7 +164,7 @@ def param_layout(arch: dict) -> list:
     if kind == "convnet":
         c = arch["channels"]
         k = CONV_KERNEL
-        _, _, _, _, flat = _conv_dims(arch)
+        flat = _flat_dim(arch)
         return [
             ("k1", (k, k, c, CONV1_FILTERS), k * k * c),
             ("c1", (CONV1_FILTERS,), k * k * c),
@@ -185,87 +213,39 @@ def init_params(arch: dict, seed) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# banded convolution: row windows x precomputed band matrix
+# im2col convolution: one GEMM per layer over the 5x5 input patches
 
-class _ConvPlan:
-    """Static index plan for one convolution layer on fixed input dims."""
-
-    def __init__(self, height, width, c_in, c_out):
-        k = CONV_KERNEL
-        self.h, self.w, self.c_in, self.c_out = height, width, c_in, c_out
-        self.oh, self.ow = height - k + 1, width - k + 1
-        self.kdim = k * width * c_in
-        di, dj, ow, c, f = np.meshgrid(
-            np.arange(k), np.arange(k), np.arange(self.ow),
-            np.arange(c_in), np.arange(c_out), indexing="ij")
-        self.band_rows = ((di * width + ow + dj) * c_in + c).ravel()
-        self.band_cols = (ow * c_out + f).ravel()
-        self.kernel_idx = (((di * k + dj) * c_in + c) * c_out + f).ravel()
-        self.gather_shape = (k, k, self.ow, c_in, c_out)
-
-    def band(self, kernel, dtype):
-        m = np.zeros((self.kdim, self.ow * self.c_out), dtype=dtype)
-        m[self.band_rows, self.band_cols] = kernel.ravel()[self.kernel_idx]
-        return m
-
-    def kernel_grad(self, d_band):
-        vals = d_band[self.band_rows, self.band_cols].reshape(self.gather_shape)
-        return vals.sum(axis=2)  # sum over output columns sharing a weight
-
-    def row_windows(self, x):
-        # x (B, H, W, C) -> (B*OH, k*W*C)
-        b = x.shape[0]
-        k = CONV_KERNEL
-        rows = np.empty((b, self.oh, k, self.w, self.c_in), dtype=x.dtype)
-        for di in range(k):
-            rows[:, :, di] = x[:, di:di + self.oh]
-        return rows.reshape(b * self.oh, self.kdim)
-
-    def fold_rows(self, d_rows, batch):
-        # inverse of row_windows: overlap-add back to (B, H, W, C)
-        k = CONV_KERNEL
-        d_rows = d_rows.reshape(batch, self.oh, k, self.w, self.c_in)
-        dx = np.zeros((batch, self.h, self.w, self.c_in), dtype=d_rows.dtype)
-        for di in range(k):
-            dx[:, di:di + self.oh] += d_rows[:, :, di]
-        return dx
-
-    def product(self, x, kernel):
-        """Convolution without the bias: (B, OH, OW, C_out), plus the row
-        windows and band matrix the backward pass reuses."""
-        rows = self.row_windows(x)
-        band = self.band(kernel, x.dtype)
-        out = (rows @ band).reshape(x.shape[0], self.oh, self.ow, self.c_out)
-        return out, rows, band
-
-    def backward(self, d_out, rows, batch, band=None):
-        """Kernel and bias gradients; the input gradient too when given the
-        forward pass's band matrix (None otherwise)."""
-        dtype = d_out.dtype
-        d_flat = d_out.reshape(-1, self.ow * self.c_out)
-        d_band = rows.T @ d_flat
-        d_kernel = self.kernel_grad(d_band).astype(dtype, copy=False)
-        d_bias = d_out.sum(axis=(0, 1, 2))
-        dx = None
-        if band is not None:
-            d_rows = d_flat @ band.T
-            dx = self.fold_rows(d_rows, batch)
-        return dx, d_kernel, d_bias
+def _im2col(x):
+    """(B, H, W, C) -> (B*OH*OW, k*k*C) patch matrix, columns in (di, dj, c)
+    order, so a (k, k, C, F) kernel is a plain (k*k*C, F) matrix."""
+    k = CONV_KERNEL
+    windows = sliding_window_view(x, (k, k), axis=(1, 2))
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(-1, k * k * x.shape[3])
 
 
-_PLAN_CACHE: dict = {}
+def _conv_product(x, kernel):
+    """Convolution without the bias, (B, OH, OW, F), and the patch matrix
+    the kernel gradient needs."""
+    k = CONV_KERNEL
+    cols = _im2col(x)
+    out = cols @ kernel.reshape(-1, kernel.shape[-1])
+    b, h, w, _ = x.shape
+    return out.reshape(b, h - k + 1, w - k + 1, -1), cols
 
 
-def _plans(arch):
-    key = (arch["height"], arch["width"], arch["channels"])
-    if key not in _PLAN_CACHE:
-        (h1, w1), (hp1, wp1), _, _, _ = _conv_dims(arch)
-        _PLAN_CACHE[key] = (
-            _ConvPlan(arch["height"], arch["width"], arch["channels"],
-                      CONV1_FILTERS),
-            _ConvPlan(hp1, wp1, CONV1_FILTERS, CONV2_FILTERS),
-        )
-    return _PLAN_CACHE[key]
+def _conv_input_grad(d_out, kernel, in_shape):
+    """Gradient of the convolution with respect to its input: the product of
+    the output gradient with each kernel tap, added back at the tap's
+    offset."""
+    k = CONV_KERNEL
+    b, oh, ow, f = d_out.shape
+    d_flat = d_out.reshape(-1, f)
+    dx = np.zeros(in_shape, dtype=d_out.dtype)
+    for di in range(k):
+        for dj in range(k):
+            dx[:, di:di + oh, dj:dj + ow] += (
+                d_flat @ kernel[di, dj].T).reshape(b, oh, ow, -1)
+    return dx
 
 
 def _pool_forward(x, want_masks=True):
@@ -294,6 +274,28 @@ def _pool_backward(d_out, masks, in_shape):
     dx[:, 1::2, 0::2] = d_out * g10
     dx[:, 1::2, 1::2] = d_out * g11
     return dx
+
+
+def _conv_pool_relu(x, kernel, bias, want_cache):
+    """One convolution block, pooled first: 2x2 max pooling of the raw
+    convolution product, then the bias and ReLU in place on the quarter-size
+    result. Returns the block output, and the patch matrix and pooling masks
+    when ``want_cache`` (None otherwise)."""
+    a, cols = _conv_product(x, kernel)
+    p, masks = _pool_forward(a, want_masks=want_cache)
+    np.maximum(np.add(p, bias, out=p), 0, out=p)
+    return p, cols if want_cache else None, masks
+
+
+def _conv_pool_relu_backward(d_p, p, masks, cols, d_kernel, d_bias):
+    """Fill one block's kernel and bias gradients from the gradient of its
+    output ``p``; return the gradient of the raw convolution product."""
+    d_pre = d_p * (p > 0)
+    d_bias[...] = d_pre.sum(axis=(0, 1, 2))
+    b, hp, wp, f = d_pre.shape
+    d_a = _pool_backward(d_pre, masks, (b, 2 * hp, 2 * wp, f))
+    d_kernel[...] = (cols.T @ d_a.reshape(-1, f)).reshape(d_kernel.shape)
+    return d_a
 
 
 # --------------------------------------------------------------------------
@@ -345,31 +347,15 @@ def _forward(arch, p, x, want_cache):
         z = h @ p["w2"] + p["b2"]
         prob = expit(z)
         return prob, (x, a, h, prob) if want_cache else None
-    plan1, plan2 = _plans(arch)
-    if not want_cache:
-        # inference: pool first, then bias and ReLU (see the module docstring)
-        p1 = _pool_forward(plan1.product(x, p["k1"])[0], want_masks=False)[0]
-        np.maximum(np.add(p1, p["c1"], out=p1), 0, out=p1)
-        p2 = _pool_forward(plan2.product(p1, p["k2"])[0], want_masks=False)[0]
-        np.maximum(np.add(p2, p["c2"], out=p2), 0, out=p2)
-        h3 = np.maximum(p2.reshape(x.shape[0], -1) @ p["w3"] + p["b3"], 0)
-        return expit(h3 @ p["w4"] + p["b4"]), None
-    a1, rows1, _ = plan1.product(x, p["k1"])
-    a1 += p["c1"]
-    r1 = np.maximum(a1, 0)
-    p1, masks1 = _pool_forward(r1)
-    a2, rows2, band2 = plan2.product(p1, p["k2"])
-    a2 += p["c2"]
-    r2 = np.maximum(a2, 0)
-    p2, masks2 = _pool_forward(r2)
+    p1, cols1, masks1 = _conv_pool_relu(x, p["k1"], p["c1"], want_cache)
+    p2, cols2, masks2 = _conv_pool_relu(p1, p["k2"], p["c2"], want_cache)
     flat = p2.reshape(x.shape[0], -1)
     a3 = flat @ p["w3"] + p["b3"]
     h3 = np.maximum(a3, 0)
-    z = h3 @ p["w4"] + p["b4"]
-    prob = expit(z)
-    cache = (x, rows1, a1, r1.shape, masks1, p1, rows2, band2, a2, r2.shape,
-             masks2, flat, a3, h3, prob)
-    return prob, cache
+    prob = expit(h3 @ p["w4"] + p["b4"])
+    if not want_cache:
+        return prob, None
+    return prob, (cols1, masks1, p1, cols2, masks2, p2, flat, a3, h3, prob)
 
 
 def _backward(arch, p, cache, y, pos_weight, grads):
@@ -392,9 +378,7 @@ def _backward(arch, p, cache, y, pos_weight, grads):
         grads["w1"][...] = x.T @ dh
         grads["b1"][...] = dh.sum(axis=0)
         return
-    (x, rows1, a1, r1_shape, masks1, p1, rows2, band2, a2, r2_shape,
-     masks2, flat, a3, h3, prob) = cache
-    plan1, plan2 = _plans(arch)
+    cols1, masks1, p1, cols2, masks2, p2, flat, a3, h3, prob = cache
     batch = len(y)
     dz = (((1 - y) * prob - pos_weight * y * (1 - prob)) / batch).astype(
         prob.dtype)
@@ -403,16 +387,11 @@ def _backward(arch, p, cache, y, pos_weight, grads):
     dh3 = np.outer(dz, p["w4"]) * (a3 > 0)
     grads["w3"][...] = flat.T @ dh3
     grads["b3"][...] = dh3.sum(axis=0)
-    dp2 = (dh3 @ p["w3"].T).reshape(batch, r2_shape[1] // 2,
-                                    r2_shape[2] // 2, CONV2_FILTERS)
-    da2 = _pool_backward(dp2, masks2, r2_shape) * (a2 > 0)
-    dp1, dk2, dc2 = plan2.backward(da2, rows2, batch, band2)
-    grads["k2"][...] = dk2
-    grads["c2"][...] = dc2
-    da1 = _pool_backward(dp1, masks1, r1_shape) * (a1 > 0)
-    _, dk1, dc1 = plan1.backward(da1, rows1, batch)
-    grads["k1"][...] = dk1
-    grads["c1"][...] = dc1
+    dp2 = (dh3 @ p["w3"].T).reshape(p2.shape)
+    da2 = _conv_pool_relu_backward(dp2, p2, masks2, cols2, grads["k2"],
+                                   grads["c2"])
+    dp1 = _conv_input_grad(da2, p["k2"], p1.shape)
+    _conv_pool_relu_backward(dp1, p1, masks1, cols1, grads["k1"], grads["c1"])
 
 
 def bce(prob, y, pos_weight=1.0) -> float:
@@ -441,6 +420,47 @@ def loss_and_grad(arch: dict, params: np.ndarray, xs, y,
     prob, cache = _forward(arch, p, x, want_cache=True)
     _backward(arch, p, cache, y, positive_weight, grads)
     return bce(prob, y, positive_weight), grad_flat
+
+
+# --------------------------------------------------------------------------
+# one BLAS thread for training and inference
+
+@functools.lru_cache(maxsize=None)
+def _numpy_openblas():
+    """(get_num_threads, set_num_threads) of the OpenBLAS bundled with
+    numpy, or None when numpy links another BLAS. Only numpy's copy is
+    looked for: scipy loads a second OpenBLAS without these symbols."""
+    package = Path(np.__file__).parent
+    candidates = [*package.parent.glob("numpy.libs/libscipy_openblas64_*"),
+                  *package.glob(".dylibs/libscipy_openblas64_*")]
+    for path in sorted(candidates):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = (), ctypes.c_int
+        set_.argtypes, set_.restype = (ctypes.c_int,), None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin numpy's OpenBLAS to one thread inside the block and restore the
+    previous count after it. Yields whether it could."""
+    blas = _numpy_openblas()
+    if blas is None:
+        yield False
+        return
+    get, set_ = blas
+    previous = get()
+    set_(1)
+    try:
+        yield True
+    finally:
+        set_(previous)
 
 
 # --------------------------------------------------------------------------
@@ -481,7 +501,8 @@ def train(d_s: Dataset, config: TrainConfig) -> Predictor:
     on the weighted binary cross-entropy.
 
     Initialization and epoch shuffling both derive from config.seed through
-    independent spawned streams, so the result is reproducible bit for bit.
+    independent spawned streams, and numpy's OpenBLAS runs on one thread, so
+    the result is reproducible bit for bit.
     Raises TrainingError on divergence (non-finite loss), reporting the
     epoch.
     """
@@ -507,7 +528,7 @@ def train(d_s: Dataset, config: TrainConfig) -> Predictor:
     trace = []
     # divergence is detected through the loss; silence the float warnings
     # the overflowing intermediates would otherwise spray
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), _one_blas_thread():
         for epoch in range(config.epochs):
             order = shuffle_rng.permutation(n)
             epoch_losses = []
@@ -534,12 +555,42 @@ def train(d_s: Dataset, config: TrainConfig) -> Predictor:
                      train_config=config, loss_trace=tuple(trace))
 
 
+# --------------------------------------------------------------------------
+# inference on every usable core
+
+def _usable_cores() -> int:
+    """Cores this process may score on: one inside a pool worker process,
+    whose sibling workers occupy the others."""
+    if multiprocessing.parent_process() is not None:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@functools.lru_cache(maxsize=None)
+def _cap_malloc_arenas() -> None:
+    """Have every thread allocate from glibc's main arena. Each inference
+    thread would otherwise get an arena of its own, which keeps the freed
+    batch buffers, and later phases allocate on top of them. A no-op where
+    the C library has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_ARENA_MAX, 1)
+
+
 def predict_soft(predictor: Predictor, xs) -> np.ndarray:
     """Elementwise scores in [0, 1]; a pure function of parameters and input.
 
-    The whole input's shape is checked before any batch is scored; inputs
-    are then cast to the compute dtype one batch of PREDICT_BATCH units at a
-    time.
+    The whole input's shape is checked before any batch is scored. Inputs
+    are then cast to the compute dtype one batch of PREDICT_BATCH_BYTES at a
+    time, and the batches are scored on the usable cores with numpy's
+    OpenBLAS pinned to one thread, so the scores do not depend on the core
+    count.
     """
     arch = predictor.architecture
     dtype = _compute_dtype(arch)
@@ -548,10 +599,23 @@ def predict_soft(predictor: Predictor, xs) -> np.ndarray:
     xs = np.asarray(xs)
     _check_inputs(arch, xs)
     out = np.empty(len(xs), dtype=np.float64)
-    for lo in range(0, len(xs), PREDICT_BATCH):
-        x = prepare_inputs(arch, xs[lo:lo + PREDICT_BATCH], dtype)
-        prob, _ = _forward(arch, p, x, want_cache=False)
-        out[lo:lo + PREDICT_BATCH] = prob
+    unit_bytes = np.dtype(dtype).itemsize * math.prod(xs.shape[1:])
+    size = max(1, PREDICT_BATCH_BYTES // unit_bytes)
+    starts = range(0, len(xs), size)
+
+    def score(lo):
+        x = prepare_inputs(arch, xs[lo:lo + size], dtype)
+        out[lo:lo + size] = _forward(arch, p, x, want_cache=False)[0]
+
+    with _one_blas_thread() as pinned:
+        threads = min(len(starts), _usable_cores()) if pinned else 1
+        if threads <= 1:
+            for lo in starts:
+                score(lo)
+        else:
+            _cap_malloc_arenas()
+            with ThreadPoolExecutor(threads) as pool:
+                list(pool.map(score, starts))
     return out
 
 

@@ -103,6 +103,44 @@ def test_non_integer_worker_variable_fails(tmp_path, capsys, monkeypatch,
     assert "RCTBIAS_WORKERS" in summary["message"]
 
 
+def test_zero_worker_variable_fails(tmp_path, capsys, monkeypatch,
+                                    digit_archive_paths):
+    images, labels = digit_archive_paths
+    monkeypatch.setenv("RCTBIAS_WORKERS", "0")
+    code, _, err = run_cli([
+        "experiment", "--mnist-images", images, "--mnist-labels", labels,
+        "--seeds", "1", "--out", str(tmp_path / "exp")], capsys)
+    assert code == 1
+    summary = json.loads(err)
+    assert summary["error"] == "ConfigurationError"
+    assert "RCTBIAS_WORKERS must be >= 1" in summary["message"]
+    assert not (tmp_path / "exp").exists()
+
+
+def test_negative_workers_flag_fails(tmp_path, capsys):
+    code, _, err = run_cli([
+        "simulate", "--sizes", "1500", "--seeds", "1", "--workers", "-3",
+        "--out", str(tmp_path / "sim")], capsys)
+    assert code == 1
+    summary = json.loads(err)
+    assert summary["error"] == "ConfigurationError"
+    assert "workers must be >= 1, got -3" in summary["message"]
+    assert not (tmp_path / "sim").exists()
+
+
+def test_zero_workers_in_config_file_fails(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("sizes=1500\nseeds=1\nworkers=0\n")
+    code, _, err = run_cli([
+        "simulate", "--config", str(conf), "--out", str(tmp_path / "sim")],
+        capsys)
+    assert code == 1
+    summary = json.loads(err)
+    assert summary["error"] == "ConfigurationError"
+    assert "workers must be >= 1, got 0" in summary["message"]
+    assert not (tmp_path / "sim").exists()
+
+
 @pytest.mark.slow
 class TestExperiment:
     def test_end_to_end(self, tmp_path, capsys, digit_archive_paths):

@@ -1,4 +1,5 @@
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -92,25 +93,68 @@ class TestGradients:
         worst = finite_difference_check(arch, params, x, y, 1.3, 60, 5)
         assert worst < 1e-4
 
+    def test_convnet_every_block(self):
+        # a uniform draw over all parameters almost never lands outside w3,
+        # so check a few coordinates of each of the eight blocks; the
+        # constant background of the first images ties pooling windows
+        rng = np.random.default_rng(7)
+        x = rng.integers(0, 256, size=(4, 28, 28, 3))
+        x[:2, :, :16] = 0
+        y = np.array([1, 0, 1, 0])
+        params = models.init_params(CONV_ARCH, seed=22)
+        offsets = np.cumsum([0] + [int(np.prod(shape)) or 1 for _, shape, _
+                                   in models.param_layout(CONV_ARCH)])
+        _, grad = models.loss_and_grad(CONV_ARCH, params, x, y, 1.3,
+                                       dtype=np.float64)
+        h = 1e-6
+        for lo, hi in zip(offsets[:-1], offsets[1:]):
+            for i in rng.choice(np.arange(lo, hi), size=min(3, hi - lo),
+                                replace=False):
+                up, down = params.copy(), params.copy()
+                up[i] += h
+                down[i] -= h
+                fd = (models.loss_and_grad(CONV_ARCH, up, x, y, 1.3,
+                                           np.float64)[0]
+                      - models.loss_and_grad(CONV_ARCH, down, x, y, 1.3,
+                                             np.float64)[0]) / (2 * h)
+                rel = abs(fd - grad[i]) / max(1e-8, abs(fd), abs(grad[i]))
+                assert rel < 1e-4, (i, fd, grad[i])
+
 
 class TestConvPlan:
     def test_matches_naive_convolution(self):
-        # the banded matrix product must equal the direct sliding-window sum
+        # the im2col matrix product must equal the direct sliding-window sum
         rng = np.random.default_rng(4)
-        plan = models._ConvPlan(height=10, width=9, c_in=2, c_out=3)
         x = rng.normal(size=(2, 10, 9, 2))
         kernel = rng.normal(size=(5, 5, 2, 3))
         bias = rng.normal(size=3)
-        out = plan.product(x, kernel)[0] + bias
+        out = models._conv_product(x, kernel)[0] + bias
+        assert out.shape == (2, 6, 5, 3)
         naive = np.zeros_like(out)
         for b in range(2):
-            for i in range(plan.oh):
-                for j in range(plan.ow):
+            for i in range(6):
+                for j in range(5):
                     patch = x[b, i:i + 5, j:j + 5, :]
                     for f in range(3):
                         naive[b, i, j, f] = (patch * kernel[..., f]).sum() \
                             + bias[f]
         assert np.allclose(out, naive, atol=1e-10)
+
+    def test_input_gradient_matches_naive_scatter(self):
+        # every output gradient flows back to the 5x5 patch it was computed
+        # from, weighted by the kernel tap
+        rng = np.random.default_rng(6)
+        d_out = rng.normal(size=(2, 6, 5, 3))
+        kernel = rng.normal(size=(5, 5, 2, 3))
+        dx = models._conv_input_grad(d_out, kernel, (2, 10, 9, 2))
+        naive = np.zeros((2, 10, 9, 2))
+        for b in range(2):
+            for i in range(6):
+                for j in range(5):
+                    for f in range(3):
+                        naive[b, i:i + 5, j:j + 5, :] += \
+                            d_out[b, i, j, f] * kernel[..., f]
+        assert np.allclose(dx, naive, atol=1e-10)
 
     def test_pooling_matches_blockwise_max(self):
         rng = np.random.default_rng(5)
@@ -141,6 +185,32 @@ class TestTrain:
         config = TrainConfig("convnet", epochs=1, seed=3)
         assert np.array_equal(train(rct, config).params,
                               train(rct, config).params)
+
+    def test_parameters_do_not_depend_on_the_blas_thread_count(self):
+        blas = models._numpy_openblas()
+        if blas is None:
+            pytest.skip("numpy is not linked against its bundled OpenBLAS")
+        get, set_ = blas
+        images, labels = make_digit_images(256, seed=1)
+        colored = rb.generate(mnist.MnistArchive(images, labels),
+                              rb.build_population(3), seed=0)
+        rct = colored.as_rct_dataset()
+        config = TrainConfig("convnet", epochs=1, seed=3)
+        diverging = TrainConfig("mlp", learning_rate=1e300, epochs=3,
+                                batch_size=64, seed=0)
+        before = get()
+        params = {}
+        try:
+            for threads in (1, 2):
+                set_(threads)
+                params[threads] = train(rct, config).params
+                assert get() == threads
+            with np.errstate(all="ignore"), pytest.raises(TrainingError):
+                train(sample_rct(ScmConfig(0.5, 1.0, 256, seed=0)), diverging)
+            assert get() == 2
+        finally:
+            set_(before)
+        assert np.array_equal(params[1], params[2])
 
     def test_heldout_accuracy_beats_floor(self):
         # Bayes accuracy of the oracle threshold rule, by quadrature:
@@ -286,18 +356,82 @@ class TestInference:
             assert np.array_equal(fast, ref)
 
     def test_scores_when_count_is_not_a_batch_multiple(self, monkeypatch):
-        monkeypatch.setattr(models, "PREDICT_BATCH", 64)
+        image_bytes = 28 * 28 * 3 * 4
         rng = np.random.default_rng(9)
         xs = rng.integers(0, 256, size=(2 * 64 + 37, 28, 28, 3), dtype=np.uint8)
         pred = conv_predictor()
+        default = predict_soft(pred, xs)
+        monkeypatch.setattr(models, "PREDICT_BATCH_BYTES", 64 * image_bytes)
         p = models.unpack_params(pred.params.astype(np.float32), CONV_ARCH)
         x = models.prepare_inputs(CONV_ARCH, xs)
-        ref = np.concatenate([
-            models._forward(CONV_ARCH, p, x[lo:lo + 64], want_cache=True)[0]
-            for lo in range(0, len(x), 64)])
+        with models._one_blas_thread():
+            ref = np.concatenate([
+                models._forward(CONV_ARCH, p, x[lo:lo + 64],
+                                want_cache=True)[0]
+                for lo in range(0, len(x), 64)])
         scores = predict_soft(pred, xs)
         assert scores.shape == (len(xs),) and scores.dtype == np.float64
         assert np.array_equal(scores, ref)
+        # BLAS picks its kernels by matrix size, so another batching may
+        # round differently, but only in the last float32 bits
+        assert np.allclose(scores, default, rtol=0, atol=1e-6)
+
+    def test_scores_do_not_depend_on_the_thread_count(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        xs = rng.integers(0, 256, size=(300, 28, 28, 3), dtype=np.uint8)
+        pred = conv_predictor()
+        scores = {}
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(models, "_usable_cores", lambda: cores)
+            scores[cores] = predict_soft(pred, xs)
+        assert np.array_equal(scores[1], scores[2])
+        assert np.array_equal(scores[1], scores[3])
+
+    def test_pool_workers_score_on_one_thread(self):
+        # sibling worker processes already occupy the other cores
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            assert pool.submit(models._usable_cores).result(timeout=60) == 1
+
+    def test_fallback_without_openblas_controls(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        xs = rng.integers(0, 256, size=(150, 28, 28, 3), dtype=np.uint8)
+        pred = conv_predictor()
+        threaded = predict_soft(pred, xs)
+        # pin BLAS as the threaded path does: more BLAS threads may round
+        # differently
+        with models._one_blas_thread():
+            monkeypatch.setattr(models, "_numpy_openblas", lambda: None)
+            fallback = predict_soft(pred, xs)
+        assert np.array_equal(fallback, threaded)
+
+    def test_blas_thread_count_is_restored(self, monkeypatch):
+        blas = models._numpy_openblas()
+        if blas is None:
+            pytest.skip("numpy is not linked against its bundled OpenBLAS")
+        get, set_ = blas
+        rng = np.random.default_rng(13)
+        xs = rng.integers(0, 256, size=(150, 28, 28, 3), dtype=np.uint8)
+        pred = conv_predictor()
+        before = get()
+        try:
+            set_(3)
+            predict_soft(pred, xs)
+            assert get() == 3
+            forward = models._forward
+
+            def failing_forward(arch, p, x, want_cache):
+                if (x[:, 0, 0, 0] > 0).any():
+                    raise FloatingPointError("batch failed")
+                return forward(arch, p, x, want_cache)
+
+            monkeypatch.setattr(models, "_forward", failing_forward)
+            xs[:, 0, 0, 0] = 0
+            xs[60, 0, 0, 0] = 255  # only the second batch fails
+            with pytest.raises(FloatingPointError):
+                predict_soft(pred, xs)
+            assert get() == 3
+        finally:
+            set_(before)
 
     def test_peak_memory_does_not_grow_with_the_input(self):
         rng = np.random.default_rng(10)
