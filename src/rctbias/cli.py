@@ -161,15 +161,14 @@ def _cmd_simulate(args) -> int:
         config = harness.RunConfig(
             experiment=harness.CONVERGENCE_EXPERIMENT,
             seeds=_seed_tuple(resolved["seeds"], resolved["seed_list"]),
-            output_dir=resolved["out"],
             sample_sizes=_int_list(resolved["sizes"]),
             p_t=float(resolved["p_t"]), sigma2_y=float(resolved["sigma2_y"]),
             learning_rate=_opt_float(resolved["learning_rate"]),
             epochs=_opt_int(resolved["epochs"]),
             batch_size=_opt_int(resolved["batch_size"]),
-            threshold=float(resolved["threshold"]),
-            workers=_opt_int(resolved["workers"]))
-    report = harness.run_convergence_study(config)
+            threshold=float(resolved["threshold"]))
+        workers = _opt_int(resolved["workers"])
+    report = harness.run_convergence_study(config, workers)
     return _finish(report, resolved["out"])
 
 
@@ -202,7 +201,6 @@ def _cmd_experiment(args) -> int:
         config = harness.RunConfig(
             experiment=harness.MNIST_EXPERIMENT,
             seeds=_seed_tuple(resolved["seeds"], resolved["seed_list"]),
-            output_dir=resolved["out"],
             mnist_images=resolved["mnist_images"],
             mnist_labels=resolved["mnist_labels"],
             schemes=_str_list(resolved["schemes"]),
@@ -211,9 +209,9 @@ def _cmd_experiment(args) -> int:
             epochs=_opt_int(resolved["epochs"]),
             batch_size=_opt_int(resolved["batch_size"]),
             threshold=float(resolved["threshold"]),
-            validation_size=_opt_int(resolved["validation_size"]),
-            workers=_opt_int(resolved["workers"]))
-    report = harness.run_mnist_bias_study(config)
+            validation_size=_opt_int(resolved["validation_size"]))
+        workers = _opt_int(resolved["workers"])
+    report = harness.run_mnist_bias_study(config, workers)
     return _finish(report, resolved["out"])
 
 

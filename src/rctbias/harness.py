@@ -14,15 +14,23 @@ Two studies are wired up:
 
 Each run derives independent sub-seeds (generation, annotation,
 validation, training) from its run seed through a SeedSequence, so no two
-stages share a random stream. Runs are pure given their task description;
-seed-level parallelism uses a bounded process pool and aggregation sorts
-by (scheme, seed) first, which makes reports independent of scheduling.
-Failed runs are recorded as structured error entries without aborting the
-sweep.
+stages share a random stream. Runs are pure given their task description.
+Both studies execute through one sweep (``_sweep``): in-process with one
+worker, otherwise on a bounded process pool sized by ``workers`` or
+RCTBIAS_WORKERS. Tasks are ordered by their identity keys, so reports do
+not depend on scheduling or on the worker count. A run that raises, or
+whose pool worker dies, is recorded as a structured error entry without
+aborting the sweep.
+
+The config hash covers the experiment's identity (its RunConfig); how a
+sweep is executed (the worker count) and where it is written are not part
+of it. A report stores the per-run records only; the metric table and the
+violin series are derived from them.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -55,13 +63,12 @@ MNIST_EXPERIMENT = "mnist_bias"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Aggregated configuration for one experiment invocation."""
+    """The identity of one experiment: everything that determines its
+    results, and nothing about how or where it is run."""
 
     experiment: str
     seeds: tuple = (0,)
-    output_dir: Optional[str] = None
     threshold: float = 0.5
-    workers: Optional[int] = None
     # scalar-RCT study
     p_t: float = 0.5
     sigma2_y: float = 1.0
@@ -86,9 +93,6 @@ class RunConfig:
             raise ConfigurationError("seed list must be nonempty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigurationError("seed list must be duplicate-free")
-        if self.workers is not None and self.workers < 1:
-            raise ConfigurationError(
-                f"workers must be >= 1, got {self.workers}")
         for scheme in self.schemes:
             if scheme not in MNIST_SCHEMES:
                 raise ConfigurationError(
@@ -98,20 +102,45 @@ class RunConfig:
 
 @dataclass
 class ExperimentReport:
-    """Everything an experiment produced, aggregates recomputable from the
-    embedded per-run records."""
+    """Everything an experiment produced. The per-run records are the only
+    stored results; aggregates are recomputable from them, and the metric
+    table and the violin series are derived from them on access."""
 
     experiment: str
     config: dict
     config_hash: str
     tool_version: str
     runs: list = field(default_factory=list)
-    metric_table: Optional[metrics.MetricTable] = None
     aggregates: dict = field(default_factory=dict)
     tests: dict = field(default_factory=dict)
     correlations: dict = field(default_factory=dict)
-    violins: dict = field(default_factory=dict)
     errors: list = field(default_factory=list)
+
+    @property
+    def metric_table(self) -> Optional[metrics.MetricTable]:
+        """One row per colored-digit run; None for the convergence study."""
+        if self.experiment != MNIST_EXPERIMENT:
+            return None
+        return metrics.MetricTable([metrics.MetricRow(
+            seed=run["seed"], scheme=run["scheme"], model_kind="convnet",
+            **{name: run[name] for name in metrics.METRIC_COLUMNS})
+            for run in self.runs])
+
+    @property
+    def violins(self) -> dict:
+        """Per scheme with runs, the soft and discretized TERB of each run
+        (NaN where undefined); empty for the convergence study."""
+        by_scheme = {}
+        if self.experiment == MNIST_EXPERIMENT:
+            for run in self.runs:
+                by_scheme.setdefault(run["scheme"], []).append(
+                    (run["terb_full"], run["terb_full_discretized"]))
+        violins = {}
+        for scheme, pairs in by_scheme.items():
+            soft, hard = np.array(pairs, dtype=np.float64).T
+            violins[scheme] = {"terb_soft": soft.tolist(),
+                               "terb_hard": hard.tolist()}
+        return violins
 
 
 def config_hash(config: RunConfig) -> str:
@@ -119,9 +148,12 @@ def config_hash(config: RunConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def resolve_workers(config: RunConfig) -> int:
-    if config.workers is not None:
-        return config.workers
+def resolve_workers(workers: Optional[int] = None) -> int:
+    """The pool size: ``workers`` if given, else RCTBIAS_WORKERS, else 1."""
+    if workers is not None:
+        if workers < 1:
+            raise ConfigurationError(f"workers must be >= 1, got {workers}")
+        return workers
     env = os.environ.get(WORKERS_ENV_VAR)
     if not env:
         return 1
@@ -136,6 +168,44 @@ def resolve_workers(config: RunConfig) -> int:
     return workers
 
 
+def _outcomes(run, tasks, workers, initializer, initargs):
+    """(task, call returning the task's result) pairs in task order; the
+    call raises what the run raised, or why its pool worker failed."""
+    if workers == 1:
+        if initializer is not None:
+            initializer(*initargs)
+        for task in tasks:
+            yield task, functools.partial(run, task)
+        return
+    with ProcessPoolExecutor(max_workers=workers, initializer=initializer,
+                             initargs=initargs) as pool:
+        futures = [pool.submit(run, task) for task in tasks]
+        for task, future in zip(tasks, futures):
+            yield task, future.result
+
+
+def _sweep(run, tasks, identity, workers, initializer=None, initargs=()):
+    """Run every task through ``run``; returns (results, errors), both in
+    the order of the tasks' ``identity`` keys.
+
+    One worker runs the tasks in this process, after calling
+    ``initializer``; more run them on a process pool whose workers each
+    call it. Each task is its own future, so a task that raises, or whose
+    worker dies (BrokenProcessPool), becomes an error record of its
+    identity keys, the exception type and its message, and the rest of
+    the sweep still completes.
+    """
+    tasks = sorted(tasks, key=lambda task: [task[k] for k in identity])
+    results, errors = [], []
+    for task, outcome in _outcomes(run, tasks, workers, initializer, initargs):
+        try:
+            results.append(outcome())
+        except Exception as exc:  # record-and-continue
+            errors.append({**{k: task[k] for k in identity},
+                           "error": type(exc).__name__, "message": str(exc)})
+    return results, errors
+
+
 def _subseeds(seed: int, n: int) -> list:
     """Independent stage seeds derived from a run seed."""
     words = np.random.SeedSequence(seed).generate_state(n, dtype=np.uint64)
@@ -145,7 +215,9 @@ def _subseeds(seed: int, n: int) -> list:
 # --------------------------------------------------------------------------
 # convergence study
 
-def _convergence_cell(n: int, seed: int, config: RunConfig) -> dict:
+def _convergence_cell(task: dict) -> dict:
+    """One (sample size, seed) cell of the convergence study."""
+    n, seed, config = task["n"], task["seed"], task["config"]
     gen_seed, train_seed = _subseeds(seed, 2)
     dataset = scm.sample_rct(scm.ScmConfig(p_t=config.p_t,
                                            sigma2_y=config.sigma2_y,
@@ -173,10 +245,12 @@ def _convergence_cell(n: int, seed: int, config: RunConfig) -> dict:
     }
 
 
-def run_convergence_study(config: RunConfig) -> ExperimentReport:
+def run_convergence_study(config: RunConfig,
+                          workers: Optional[int] = None) -> ExperimentReport:
     """Monte Carlo over (sample size, seed): how the empirical associational
     differences of a logistic scorer and its thresholded version converge to
     their (distinct) analytic limits."""
+    workers = resolve_workers(workers)
     report = ExperimentReport(
         experiment=CONVERGENCE_EXPERIMENT, config=asdict(config),
         config_hash=config_hash(config), tool_version=__version__)
@@ -184,15 +258,10 @@ def run_convergence_study(config: RunConfig) -> ExperimentReport:
     ad_hard = analytic.analytic_discretized_ad()
     report.aggregates["references"] = {
         "analytic_ad": ad_soft, "analytic_discretized_ad": ad_hard}
-    for n in config.sample_sizes:
-        for seed in config.seeds:
-            try:
-                report.runs.append(_convergence_cell(int(n), seed, config))
-            except Exception as exc:  # record-and-continue
-                report.errors.append({"n": int(n), "seed": seed,
-                                      "error": type(exc).__name__,
-                                      "message": str(exc)})
-    report.runs.sort(key=lambda r: (r["n"], r["seed"]))
+    tasks = [{"n": int(n), "seed": seed, "config": config}
+             for n in config.sample_sizes for seed in config.seeds]
+    report.runs, report.errors = _sweep(_convergence_cell, tasks,
+                                        ("n", "seed"), workers)
     per_n = {}
     for n in sorted({r["n"] for r in report.runs}):
         cells = [r for r in report.runs if r["n"] == n]
@@ -225,71 +294,68 @@ def _init_mnist_worker(images_path: str, labels_path: str) -> None:
 
 
 def _mnist_run(task: dict) -> dict:
-    """One (scheme, seed) run; returns a result dict and never raises."""
-    try:
-        scheme_name = task["scheme"]
-        seed = task["seed"]
-        kind, n_s = MNIST_SCHEMES[scheme_name]
-        gen_seed, ann_seed, val_seed, train_seed = _subseeds(seed, 4)
-        spec = mnist.build_population(task["digit_threshold"])
-        colored = mnist.generate(_WORKER_ARCHIVE, spec, seed=gen_seed)
-        rct = colored.as_rct_dataset()
-        scheme = annotation.SamplingScheme(
-            kind=kind, n_s=n_s,
-            bias_covariate="w" if kind == "covariate_biased" else None,
-            bias_value=0 if kind == "covariate_biased" else None,
-            seed=ann_seed)
-        dataset = annotation.assign_annotation(rct, scheme)
-        val_idx = annotation.validation_indices(
-            dataset, size=task["validation_size"], seed=val_seed)
-        train_config = models.TrainConfig(
-            model_kind="convnet", learning_rate=task["learning_rate"],
-            epochs=task["epochs"], batch_size=task["batch_size"],
-            seed=train_seed)
-        predictor = models.train(dataset.annotated, train_config)
-        scores = models.predict_soft(predictor, dataset.x)
+    """One (scheme, seed) run of the colored-digit study."""
+    scheme_name = task["scheme"]
+    seed = task["seed"]
+    kind, n_s = MNIST_SCHEMES[scheme_name]
+    gen_seed, ann_seed, val_seed, train_seed = _subseeds(seed, 4)
+    spec = mnist.build_population(task["digit_threshold"])
+    colored = mnist.generate(_WORKER_ARCHIVE, spec, seed=gen_seed)
+    rct = colored.as_rct_dataset()
+    scheme = annotation.SamplingScheme(
+        kind=kind, n_s=n_s,
+        bias_covariate="w" if kind == "covariate_biased" else None,
+        bias_value=0 if kind == "covariate_biased" else None,
+        seed=ann_seed)
+    dataset = annotation.assign_annotation(rct, scheme)
+    val_idx = annotation.validation_indices(
+        dataset, size=task["validation_size"], seed=val_seed)
+    train_config = models.TrainConfig(
+        model_kind="convnet", learning_rate=task["learning_rate"],
+        epochs=task["epochs"], batch_size=task["batch_size"],
+        seed=train_seed)
+    predictor = models.train(dataset.annotated, train_config)
+    scores = models.predict_soft(predictor, dataset.x)
 
-        val_scores = scores[val_idx]
-        val_y = dataset.y[val_idx]
-        val_t = dataset.t[val_idx]
-        val_quality = models.evaluate_predictions(val_scores, val_y)
-        val_teb = metrics.teb_report(val_scores, val_y, val_t,
-                                     reference_ate=spec.ate,
-                                     provenance="designed",
-                                     threshold=task["threshold"])
-        full_quality = models.evaluate_predictions(scores, dataset.y)
-        full_teb = metrics.teb_report(scores, dataset.y, dataset.t,
-                                      reference_ate=spec.ate,
-                                      provenance="designed",
-                                      threshold=task["threshold"])
-        return {
-            "ok": True, "scheme": scheme_name, "seed": seed,
-            "bce_val": val_quality.bce,
-            "accuracy_val": val_quality.accuracy,
-            "balanced_accuracy_val": val_quality.balanced_accuracy,
-            "abs_teb_val": abs(val_teb.teb_soft),
-            "accuracy_full": full_quality.accuracy,
-            "balanced_accuracy_full": full_quality.balanced_accuracy,
-            "abs_teb_full": abs(full_teb.teb_soft),
-            "abs_teb_full_discretized": abs(full_teb.teb_hard),
-            "teb_full": full_teb.teb_soft,
-            "teb_full_discretized": full_teb.teb_hard,
-            "terb_full": full_teb.terb_soft,
-            "terb_full_discretized": full_teb.terb_hard,
-            "ead_truth_full": full_teb.ead_truth,
-            "designed_ate": spec.ate,
-            "final_train_loss": predictor.loss_trace[-1],
-        }
-    except Exception as exc:
-        return {"ok": False, "scheme": task.get("scheme"),
-                "seed": task.get("seed"), "error": type(exc).__name__,
-                "message": str(exc)}
+    val_scores = scores[val_idx]
+    val_y = dataset.y[val_idx]
+    val_t = dataset.t[val_idx]
+    val_quality = models.evaluate_predictions(val_scores, val_y)
+    val_teb = metrics.teb_report(val_scores, val_y, val_t,
+                                 reference_ate=spec.ate,
+                                 provenance="designed",
+                                 threshold=task["threshold"])
+    full_quality = models.evaluate_predictions(scores, dataset.y)
+    full_teb = metrics.teb_report(scores, dataset.y, dataset.t,
+                                  reference_ate=spec.ate,
+                                  provenance="designed",
+                                  threshold=task["threshold"])
+    return {
+        "scheme": scheme_name, "seed": seed,
+        "bce_val": val_quality.bce,
+        "accuracy_val": val_quality.accuracy,
+        "balanced_accuracy_val": val_quality.balanced_accuracy,
+        "abs_teb_val": abs(val_teb.teb_soft),
+        "accuracy_full": full_quality.accuracy,
+        "balanced_accuracy_full": full_quality.balanced_accuracy,
+        "abs_teb_full": abs(full_teb.teb_soft),
+        "abs_teb_full_discretized": abs(full_teb.teb_hard),
+        "teb_full": full_teb.teb_soft,
+        "teb_full_discretized": full_teb.teb_hard,
+        "terb_full": full_teb.terb_soft,
+        "terb_full_discretized": full_teb.terb_hard,
+        "ead_truth_full": full_teb.ead_truth,
+        "designed_ate": spec.ate,
+        "final_train_loss": predictor.loss_trace[-1],
+    }
 
 
-def run_mnist_bias_study(config: RunConfig) -> ExperimentReport:
+def run_mnist_bias_study(config: RunConfig,
+                         workers: Optional[int] = None) -> ExperimentReport:
     """Sweep annotation schemes and seeds on the colored-digit benchmark,
     then test for sampling bias, discretization bias, and the relative
     merit of the evaluation metrics for model selection."""
+    workers = resolve_workers(workers)
     if not config.mnist_images or not config.mnist_labels:
         raise ConfigurationError(
             "the colored-digit study requires mnist_images and mnist_labels paths")
@@ -306,31 +372,12 @@ def run_mnist_bias_study(config: RunConfig) -> ExperimentReport:
         "threshold": config.threshold,
     } for scheme in config.schemes for seed in config.seeds]
 
-    workers = resolve_workers(config)
-    if workers == 1:
-        _init_mnist_worker(config.mnist_images, config.mnist_labels)
-        results = [_mnist_run(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_mnist_worker,
-                initargs=(config.mnist_images, config.mnist_labels)) as pool:
-            results = list(pool.map(_mnist_run, tasks))
-
-    results.sort(key=lambda r: (str(r.get("scheme")), r.get("seed", -1)))
-    table = metrics.MetricTable()
-    for res in results:
-        if not res.pop("ok"):
-            report.errors.append(res)
-            continue
-        report.runs.append(res)
-        table.append(metrics.MetricRow(
-            seed=res["seed"], scheme=res["scheme"], model_kind="convnet",
-            **{name: res[name] for name in metrics.METRIC_COLUMNS}))
-    report.metric_table = table
-    if len(table) == 0:
-        return report
-
-    _aggregate_mnist(report, config)
+    report.runs, report.errors = _sweep(
+        _mnist_run, tasks, ("scheme", "seed"), workers,
+        initializer=_init_mnist_worker,
+        initargs=(config.mnist_images, config.mnist_labels))
+    if report.runs:
+        _aggregate_mnist(report, config)
     return report
 
 
@@ -345,13 +392,7 @@ def _aggregate_mnist(report: ExperimentReport, config: RunConfig) -> None:
             continue
         by_scheme[scheme] = rows
         terb = np.array([r["terb_full"] for r in rows], dtype=np.float64)
-        terb_hard = np.array([r["terb_full_discretized"] for r in rows],
-                             dtype=np.float64)
         teb = np.array([r["teb_full"] for r in rows], dtype=np.float64)
-        report.violins[scheme] = {
-            "terb_soft": [float(v) for v in terb],
-            "terb_hard": [float(v) for v in terb_hard],
-        }
         agg = {
             "runs": len(rows),
             "mean_teb": float(teb.mean()),
@@ -426,14 +467,15 @@ def _sanitize(obj):
 
 
 def report_to_dict(report: ExperimentReport) -> dict:
+    table = report.metric_table
     doc = {
         "experiment": report.experiment,
         "config": report.config,
         "config_hash": report.config_hash,
         "tool_version": report.tool_version,
         "runs": report.runs,
-        "metric_table": [asdict(r) for r in report.metric_table.rows]
-        if report.metric_table is not None else None,
+        "metric_table": [asdict(r) for r in table.rows]
+        if table is not None else None,
         "aggregates": report.aggregates,
         "tests": report.tests,
         "correlations": report.correlations,
@@ -447,17 +489,12 @@ def report_from_json(path) -> ExperimentReport:
     """Rehydrate a stored report (enough structure to re-render outputs)."""
     with open(path) as fh:
         doc = json.load(fh)
-    table = None
-    if doc.get("metric_table") is not None:
-        table = metrics.MetricTable(
-            [metrics.MetricRow(**row) for row in doc["metric_table"]])
     return ExperimentReport(
         experiment=doc["experiment"], config=doc["config"],
         config_hash=doc["config_hash"], tool_version=doc["tool_version"],
-        runs=doc.get("runs", []), metric_table=table,
-        aggregates=doc.get("aggregates", {}), tests=doc.get("tests", {}),
-        correlations=doc.get("correlations", {}),
-        violins=doc.get("violins", {}), errors=doc.get("errors", []))
+        runs=doc.get("runs", []), aggregates=doc.get("aggregates", {}),
+        tests=doc.get("tests", {}), correlations=doc.get("correlations", {}),
+        errors=doc.get("errors", []))
 
 
 def emit_report(report: ExperimentReport, out_dir,
@@ -492,9 +529,10 @@ def emit_report(report: ExperimentReport, out_dir,
 def _emit_csv_bundle(report: ExperimentReport, out_dir: Path) -> list:
     written = []
     stamp = f"config_hash={report.config_hash}"
-    if report.metric_table is not None:
+    table, violins = report.metric_table, report.violins
+    if table is not None:
         path = out_dir / "metrics.csv"
-        report.metric_table.to_csv(path, header_comment=stamp)
+        table.to_csv(path, header_comment=stamp)
         written.append(path)
     if report.runs:
         path = out_dir / "runs.csv"
@@ -514,14 +552,14 @@ def _emit_csv_bundle(report: ExperimentReport, out_dir: Path) -> list:
                         cells.append(str(value))
                 fh.write(",".join(cells) + "\n")
         written.append(path)
-    if report.violins:
+    if violins:
         path = out_dir / "violins.csv"
         with open(path, "w", newline="") as fh:
             fh.write(f"# {stamp}\n")
             fh.write("scheme,series,index,value\n")
-            for scheme in sorted(report.violins):
-                for series in sorted(report.violins[scheme]):
-                    for i, value in enumerate(report.violins[scheme][series]):
+            for scheme in sorted(violins):
+                for series in sorted(violins[scheme]):
+                    for i, value in enumerate(violins[scheme][series]):
                         fh.write(f"{scheme},{series},{i},{repr(float(value))}\n")
         written.append(path)
     for group in sorted(report.correlations):

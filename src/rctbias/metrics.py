@@ -16,7 +16,6 @@ scale-free error.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -66,9 +65,6 @@ class TebReport:
     terb_hard: Optional[float]
     reference_ate: float
     reference_provenance: str
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
 
 def teb_report(scores, labels, treatments, reference_ate: Optional[float] = None,
@@ -214,30 +210,38 @@ def t_test(samples, mu0: float = 0.0, sides: str = "two") -> TTestResult:
     corresponding one-sided alternatives. Zero sample variance produces a
     degenerate-flagged result instead of an infinite statistic.
     """
-    if sides not in ("two", "greater", "less"):
-        raise DomainError(f"sides must be 'two', 'greater' or 'less', got {sides!r}")
     samples = np.asarray(samples, dtype=np.float64)
     n = len(samples)
     if n < 2:
         raise EstimationError(f"t-test requires at least 2 samples, got {n}")
-    sd = samples.std(ddof=1)
-    df = n - 1
-    if sd <= _variance_floor(samples):
-        if abs(samples.mean() - mu0) <= _variance_floor(samples):
-            # constant sample sitting on the null: neutral evidence
-            return TTestResult(t=0.0, p=_t_pvalue(0.0, df, sides), df=df)
-        return TTestResult(t=math.nan, p=math.nan, df=df, degenerate=True)
-    t = (samples.mean() - mu0) / (sd / math.sqrt(n))
-    p = _t_pvalue(t, df, sides)
-    return TTestResult(t=float(t), p=p, df=df)
+    se = samples.std(ddof=1) / math.sqrt(n)
+    return _t_result(samples.mean() - mu0, se, n - 1,
+                     _variance_floor(samples), sides)
 
 
 def _variance_floor(samples: np.ndarray) -> float:
-    # spread at rounding-noise level counts as zero variance; an exactly
-    # constant sample offset from the null must flag as degenerate rather
-    # than produce an astronomically large statistic
-    scale = float(np.abs(samples).max()) if len(samples) else 0.0
-    return 64.0 * np.finfo(np.float64).eps * max(1.0, scale)
+    # rounding-noise level of the sample's values
+    scale = max(1.0, float(np.abs(samples).max()))
+    return 64.0 * np.finfo(np.float64).eps * scale
+
+
+def _t_result(diff: float, se: float, df, floor: float,
+              sides: str) -> TTestResult:
+    """The t statistic diff / se on df degrees of freedom.
+
+    The one degenerate-variance rule of both t-tests: a standard error at
+    or below the rounding floor counts as zero variance. A difference
+    within the floor is then neutral evidence (t = 0); any other would give
+    an astronomically large statistic, so the result is flagged degenerate.
+    """
+    if sides not in ("two", "greater", "less"):
+        raise DomainError(f"sides must be 'two', 'greater' or 'less', got {sides!r}")
+    if se <= floor:
+        if abs(diff) <= floor:
+            return TTestResult(t=0.0, p=_t_pvalue(0.0, df, sides), df=df)
+        return TTestResult(t=math.nan, p=math.nan, df=df, degenerate=True)
+    t = diff / se
+    return TTestResult(t=float(t), p=_t_pvalue(t, df, sides), df=df)
 
 
 def _t_pvalue(t: float, df: float, sides: str) -> float:
@@ -250,25 +254,21 @@ def _t_pvalue(t: float, df: float, sides: str) -> float:
 
 
 def two_sample_t_test(a, b, sides: str = "two") -> TTestResult:
-    """Welch two-sample t-test of mean(a) - mean(b) against zero."""
-    if sides not in ("two", "greater", "less"):
-        raise DomainError(f"sides must be 'two', 'greater' or 'less', got {sides!r}")
+    """Welch two-sample t-test of mean(a) - mean(b) against zero; with zero
+    variance in both samples, the df is the pooled n_a + n_b - 2."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if len(a) < 2 or len(b) < 2:
         raise EstimationError("both samples need at least 2 observations")
     va, vb = a.var(ddof=1), b.var(ddof=1)
     se2 = va / len(a) + vb / len(b)
-    floor = max(_variance_floor(a), _variance_floor(b)) ** 2
-    if se2 <= floor:
+    if se2 > 0:
+        df = float(se2 ** 2 / (va ** 2 / (len(a) ** 2 * (len(a) - 1))
+                               + vb ** 2 / (len(b) ** 2 * (len(b) - 1))))
+    else:
         df = len(a) + len(b) - 2
-        if abs(a.mean() - b.mean()) <= math.sqrt(floor):
-            return TTestResult(t=0.0, p=_t_pvalue(0.0, df, sides), df=df)
-        return TTestResult(t=math.nan, p=math.nan, df=df, degenerate=True)
-    t = (a.mean() - b.mean()) / math.sqrt(se2)
-    df = se2 ** 2 / (va ** 2 / (len(a) ** 2 * (len(a) - 1))
-                     + vb ** 2 / (len(b) ** 2 * (len(b) - 1)))
-    return TTestResult(t=float(t), p=_t_pvalue(t, df, sides), df=float(df))
+    floor = max(_variance_floor(a), _variance_floor(b))
+    return _t_result(a.mean() - b.mean(), math.sqrt(se2), df, floor, sides)
 
 
 @dataclass(frozen=True)
@@ -281,17 +281,15 @@ class DiscretizationTestResult:
 
 
 def paired_discretization_test(table: MetricTable, sides: str = "less",
-                               paired: bool = True,
                                soft_column: str = "abs_teb_full",
                                hard_column: str = "abs_teb_full_discretized",
                                ) -> DiscretizationTestResult:
     """Test whether thresholding worsens the absolute treatment effect bias.
 
-    Runs pair the soft and discretized |TEB| of the same model, so the
-    default is a paired t-test on the differences soft - hard with the
-    one-sided alternative mean < 0 (discretization hurts). ``paired=False``
-    switches to the Welch two-sample variant. Constant differences yield a
-    degenerate-flagged result.
+    Runs pair the soft and discretized |TEB| of the same model, so this is a
+    paired t-test on the differences soft - hard, by default with the
+    one-sided alternative mean < 0 (discretization hurts). Constant
+    differences yield a degenerate-flagged result.
     """
     if len(table) < 2:
         raise EstimationError(
@@ -300,10 +298,7 @@ def paired_discretization_test(table: MetricTable, sides: str = "less",
     hard = table.column(hard_column)
     direction = ("hard worse" if soft.mean() < hard.mean()
                  else "soft worse" if soft.mean() > hard.mean() else "equal")
-    if paired:
-        res = t_test(soft - hard, mu0=0.0, sides=sides)
-    else:
-        res = two_sample_t_test(soft, hard, sides=sides)
+    res = t_test(soft - hard, mu0=0.0, sides=sides)
     return DiscretizationTestResult(t=res.t, p=res.p, df=res.df,
                                     direction=direction,
                                     degenerate=res.degenerate)
@@ -330,15 +325,6 @@ class SpearmanMatrix:
     columns: tuple
     values: np.ndarray
     undefined: tuple = ()
-
-    def to_json(self) -> str:
-        payload = {
-            "columns": list(self.columns),
-            "matrix": [[None if math.isnan(v) else float(v) for v in row]
-                       for row in self.values],
-            "undefined": list(self.undefined),
-        }
-        return json.dumps(payload, sort_keys=True)
 
     def to_csv(self, path, header_comment: Optional[str] = None) -> None:
         with open(path, "w", newline="") as fh:
@@ -417,32 +403,32 @@ def frechet_distance(features_a, features_b, normalize: bool = False) -> float:
     mu_a, mu_b = a.mean(axis=0), b.mean(axis=0)
     cov_a = np.cov(a, rowvar=False, ddof=1).reshape(a.shape[1], a.shape[1])
     cov_b = np.cov(b, rowvar=False, ddof=1).reshape(b.shape[1], b.shape[1])
-    sqrt_a = _psd_sqrt(cov_a)
-    cross = sqrt_a @ cov_b @ sqrt_a
-    trace_sqrt = _sqrt_eigs(cross).sum()
+    eigs, vecs = _clamped_eigh(cov_a, vectors=True)
+    sqrt_a = (vecs * np.sqrt(eigs)) @ vecs.T
+    eigs, _ = _clamped_eigh(sqrt_a @ cov_b @ sqrt_a)
+    trace_sqrt = np.sqrt(eigs).sum()
     mean_term = float(((mu_a - mu_b) ** 2).sum())
     value = mean_term + float(np.trace(cov_a) + np.trace(cov_b)
                               - 2.0 * trace_sqrt)
     return max(value, 0.0)
 
 
-def _sqrt_eigs(m: np.ndarray) -> np.ndarray:
+def _clamped_eigh(m: np.ndarray, vectors: bool = False):
+    """Eigenvalues of the symmetric part of ``m`` with drift below zero
+    clamped to zero, and its eigenvectors when ``vectors`` (else None).
+
+    Raises when an eigenvalue lies below -EIGEN_CLAMP_REL times the largest.
+    Without ``vectors`` the eigenvalues come from ``eigvalsh``, whose last
+    bits differ from those ``eigh`` computes alongside the vectors.
+    """
     sym = (m + m.T) / 2.0
-    eigs = np.linalg.eigvalsh(sym)
+    if vectors:
+        eigs, vecs = np.linalg.eigh(sym)
+    else:
+        eigs, vecs = np.linalg.eigvalsh(sym), None
     floor = -EIGEN_CLAMP_REL * max(eigs.max(), 0.0)
     if (eigs < floor).any():
         raise EstimationError(
-            f"matrix square root failed: eigenvalue {eigs.min()} below the "
-            f"clamp tolerance {floor}")
-    return np.sqrt(np.clip(eigs, 0.0, None))
-
-
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    sym = (m + m.T) / 2.0
-    eigs, vecs = np.linalg.eigh(sym)
-    floor = -EIGEN_CLAMP_REL * max(eigs.max(), 0.0)
-    if (eigs < floor).any():
-        raise EstimationError(
-            f"covariance is not positive semidefinite: eigenvalue {eigs.min()} "
+            f"matrix is not positive semidefinite: eigenvalue {eigs.min()} "
             f"below the clamp tolerance {floor}")
-    return (vecs * np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.T
+    return np.clip(eigs, 0.0, None), vecs

@@ -28,7 +28,6 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -251,18 +250,6 @@ def colorize(gray: np.ndarray, b, p) -> np.ndarray:
     return out[0] if single else out
 
 
-@dataclass(frozen=True)
-class CausalMnistRecord:
-    """One colored digit with its full causal metadata."""
-
-    image: Optional[np.ndarray]   # (H, W, 3) RGB bytes; None when skipped
-    b: int
-    p: int
-    y: int
-    digit: int
-    s: int
-
-
 class CausalMnistDataset:
     """Ordered collection of colored-digit records, stored column-wise."""
 
@@ -279,12 +266,6 @@ class CausalMnistDataset:
 
     def __len__(self) -> int:
         return len(self.digits)
-
-    def __getitem__(self, i: int) -> CausalMnistRecord:
-        image = self.images[i] if self.images is not None else None
-        return CausalMnistRecord(image=image, b=int(self.b[i]),
-                                 p=int(self.p[i]), y=int(self.y[i]),
-                                 digit=int(self.digits[i]), s=int(self.s[i]))
 
     def as_rct_dataset(self) -> Dataset:
         """View the benchmark as an RCT dataset: the background bit is the

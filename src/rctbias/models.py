@@ -650,26 +650,6 @@ def evaluate_predictions(scores, labels) -> PredictionMetrics:
                              balanced_accuracy=float(np.mean(recalls)))
 
 
-def export_scores_csv(dataset: Dataset, scores, path) -> None:
-    """Write the dataset columns with the score vector joined as a final
-    column (header w,t,x,y,s,score). Scalar observations only."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if len(scores) != len(dataset):
-        raise DomainError(
-            f"score vector has length {len(scores)}, dataset has "
-            f"{len(dataset)} rows")
-    if dataset.x.ndim != 1:
-        raise ConfigurationError(
-            "CSV score export requires scalar observations; "
-            f"x has shape {dataset.x.shape}")
-    with open(path, "w", newline="") as fh:
-        fh.write("w,t,x,y,s,score\n")
-        for i in range(len(dataset)):
-            fh.write(f"{float(dataset.w[i])!r},{int(dataset.t[i])},"
-                     f"{float(dataset.x[i])!r},{int(dataset.y[i])},"
-                     f"{int(dataset.s[i])},{float(scores[i])!r}\n")
-
-
 # --------------------------------------------------------------------------
 # persistence
 

@@ -61,17 +61,6 @@ class ScmConfig:
                 f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One experimental unit: setting, treatment, observation, outcome, flag."""
-
-    w: float
-    t: int
-    x: object
-    y: int
-    s: int
-
-
 class Dataset:
     """Ordered collection of samples stored column-wise.
 
@@ -101,11 +90,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.w)
-
-    def __getitem__(self, i: int) -> Sample:
-        return Sample(w=self.w[i].item() if np.ndim(self.w[i]) == 0 else self.w[i],
-                      t=int(self.t[i]), x=self.x[i], y=int(self.y[i]),
-                      s=int(self.s[i]))
 
     @property
     def n_s(self) -> int:

@@ -46,8 +46,8 @@ def mnist_sweep(digit_archive_paths):
                        seeds=tuple(range(20)),
                        schemes=("random_few", "biased_few"),
                        mnist_images=images, mnist_labels=labels,
-                       epochs=6, workers=2)
-    report = harness.run_mnist_bias_study(config)
+                       epochs=6)
+    report = harness.run_mnist_bias_study(config, workers=2)
     assert not report.errors
     return report
 

@@ -1,11 +1,21 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from rctbias import cli
+from rctbias import cli, harness
 from rctbias.mnist import CausalMnistDataset
+
+_CONVERGENCE_CELL = harness._convergence_cell
+
+
+def _cell_whose_worker_dies(task):
+    """A convergence cell whose worker process exits abruptly on seed 1."""
+    if task["seed"] == 1:
+        os._exit(1)
+    return _CONVERGENCE_CELL(task)
 
 
 def run_cli(argv, capsys):
@@ -57,6 +67,37 @@ class TestSimulate:
         summary = json.loads(err)
         assert summary["status"] == "error"
         assert "two" in summary["message"]
+
+    def test_report_does_not_depend_on_workers_or_output_dir(self, tmp_path,
+                                                             capsys):
+        reports = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"workers-{workers}"
+            code, _, _ = run_cli([
+                "simulate", "--sizes", "1000,1500", "--seeds", "2",
+                "--workers", workers, "--out", str(out)], capsys)
+            assert code == 0
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_dead_worker_recorded_and_sweep_continues(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # the pool forks, so its workers run the patched cell
+        monkeypatch.setattr(harness, "_convergence_cell",
+                            _cell_whose_worker_dies)
+        out = tmp_path / "sim"
+        code, _, err = run_cli([
+            "simulate", "--sizes", "1000,1500", "--seed-list", "0,1,2",
+            "--workers", "2", "--out", str(out)], capsys)
+        assert code == 3
+        assert json.loads(err)["status"] == "partial"
+        doc = json.loads((out / "report.json").read_text())
+        cells = [(r["n"], r["seed"]) for r in doc["runs"] + doc["errors"]]
+        assert sorted(cells) == [(n, seed) for n in (1000, 1500)
+                                 for seed in (0, 1, 2)]
+        failed = {(e["n"], e["seed"]) for e in doc["errors"]}
+        assert {(1000, 1), (1500, 1)} <= failed
+        assert {e["error"] for e in doc["errors"]} == {"BrokenProcessPool"}
 
     def test_missing_output_dir_fails(self, capsys):
         code, _, err = run_cli(["simulate", "--seeds", "1"], capsys)

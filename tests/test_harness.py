@@ -80,9 +80,8 @@ def small_study(digit_archive_paths):
     images, labels = digit_archive_paths
     config = RunConfig(experiment=MNIST_EXPERIMENT, seeds=(0, 1),
                        schemes=("random_few", "biased_few"),
-                       mnist_images=images, mnist_labels=labels,
-                       epochs=1, workers=1)
-    return config, run_mnist_bias_study(config)
+                       mnist_images=images, mnist_labels=labels, epochs=1)
+    return config, run_mnist_bias_study(config, workers=1)
 
 
 @pytest.mark.slow
@@ -115,8 +114,8 @@ class TestMnistStudy:
         config = RunConfig(experiment=MNIST_EXPERIMENT, seeds=(1, 0),
                            schemes=("random_few", "biased_few"),
                            mnist_images=images, mnist_labels=labels,
-                           epochs=1, workers=2)
-        report = run_mnist_bias_study(config)
+                           epochs=1)
+        report = run_mnist_bias_study(config, workers=2)
         assert report.metric_table == base.metric_table
         assert report.runs == base.runs
 
@@ -127,12 +126,29 @@ class TestMnistStudy:
         config = RunConfig(experiment=MNIST_EXPERIMENT, seeds=(0,),
                            schemes=("random_few", "biased_many"),
                            mnist_images=images, mnist_labels=labels,
-                           epochs=1, workers=1)
-        report = run_mnist_bias_study(config)
+                           epochs=1)
+        report = run_mnist_bias_study(config, workers=1)
         assert len(report.errors) == 1
         assert report.errors[0]["scheme"] == "biased_many"
         assert report.errors[0]["error"] == "SamplingError"
         assert [r["scheme"] for r in report.runs] == ["random_few"]
+
+
+def test_all_runs_failed_still_emits_an_empty_table(tmp_path,
+                                                    digit_archive_paths):
+    # many-shot annotation cannot be met by the small archive
+    images, labels = digit_archive_paths
+    config = RunConfig(experiment=MNIST_EXPERIMENT, seeds=(0,),
+                       schemes=("biased_many",), mnist_images=images,
+                       mnist_labels=labels, epochs=1)
+    report = run_mnist_bias_study(config, workers=1)
+    assert [e["error"] for e in report.errors] == ["SamplingError"]
+    assert report.metric_table == MetricTable()
+    doc = json.loads(emit_report(report, tmp_path, formats=("json",))[0]
+                     .read_text())
+    assert doc["metric_table"] == []
+    assert doc["violins"] == {}
+    assert "workers" not in doc["config"] and "output_dir" not in doc["config"]
 
 
 class TestEmission:
@@ -170,8 +186,8 @@ class TestEmission:
         images, labels = digit_archive_paths
         config = RunConfig(experiment=MNIST_EXPERIMENT, seeds=(0,),
                            schemes=("random_few",), mnist_images=images,
-                           mnist_labels=labels, epochs=1, workers=1)
-        report = run_mnist_bias_study(config)
+                           mnist_labels=labels, epochs=1)
+        report = run_mnist_bias_study(config, workers=1)
         paths = emit_report(report, tmp_path, formats=("csv_bundle",))
         metrics_path = next(p for p in paths if p.name == "metrics.csv")
         assert MetricTable.from_csv(metrics_path) == report.metric_table
@@ -186,15 +202,12 @@ class TestEmission:
 class TestWorkerResolution:
     def test_explicit_wins(self, monkeypatch):
         monkeypatch.setenv(harness.WORKERS_ENV_VAR, "7")
-        config = RunConfig(experiment=CONVERGENCE_EXPERIMENT, workers=2)
-        assert harness.resolve_workers(config) == 2
+        assert harness.resolve_workers(2) == 2
 
     def test_env_var_used(self, monkeypatch):
         monkeypatch.setenv(harness.WORKERS_ENV_VAR, "3")
-        config = RunConfig(experiment=CONVERGENCE_EXPERIMENT)
-        assert harness.resolve_workers(config) == 3
+        assert harness.resolve_workers() == 3
 
     def test_default_is_one(self, monkeypatch):
         monkeypatch.delenv(harness.WORKERS_ENV_VAR, raising=False)
-        config = RunConfig(experiment=CONVERGENCE_EXPERIMENT)
-        assert harness.resolve_workers(config) == 1
+        assert harness.resolve_workers() == 1

@@ -200,10 +200,9 @@ class TestGenerate:
         ds = generate(digit_archive, build_population(3), seed=1,
                       with_images=False)
         assert len(ds) == len(digit_archive)
-        record = ds[17]
-        assert record.image is None
-        assert record.s == 1
-        assert record.y == int(record.digit > 3)
+        assert ds.images is None
+        assert (ds.s == 1).all()
+        assert np.array_equal(ds.y, ds.digits > 3)
 
     def test_designed_ate_over_seeds(self, digit_archive):
         spec = build_population(3)

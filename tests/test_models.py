@@ -496,25 +496,6 @@ class TestEvaluatePredictions:
             evaluate_predictions(np.zeros(3), np.zeros(4))
 
 
-class TestScoreExport:
-    def test_joined_csv(self, tmp_path):
-        ds = sample_rct(ScmConfig(0.5, 1.0, 50, seed=6))
-        scores = np.linspace(0.0, 1.0, 50)
-        path = tmp_path / "scored.csv"
-        models.export_scores_csv(ds, scores, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "w,t,x,y,s,score"
-        assert len(lines) == 51
-        last = lines[-1].split(",")
-        assert float(last[-1]) == 1.0
-        assert float(last[2]) == ds.x[-1]
-
-    def test_length_mismatch(self, tmp_path):
-        ds = sample_rct(ScmConfig(0.5, 1.0, 10, seed=6))
-        with pytest.raises(DomainError):
-            models.export_scores_csv(ds, np.zeros(9), tmp_path / "x.csv")
-
-
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         ds = sample_rct(ScmConfig(0.5, 1.0, 500, seed=2))

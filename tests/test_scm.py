@@ -131,12 +131,6 @@ class TestDataset:
         with pytest.raises(ConfigurationError, match="length"):
             Dataset(w=[0.0, 1.0], t=[0], x=[0.0, 1.0], y=[0, 1], s=[1, 1])
 
-    def test_sample_view(self):
-        ds = sample_rct(ScmConfig(0.5, 1.0, 10, seed=5))
-        sample = ds[3]
-        assert sample.t in (0, 1) and sample.y in (0, 1) and sample.s == 1
-        assert sample.x == ds.x[3]
-
     def test_columns_are_read_only(self):
         ds = sample_rct(ScmConfig(0.5, 1.0, 10, seed=5))
         with pytest.raises(ValueError):
