@@ -7,15 +7,12 @@ from ._version import __version__
 from .errors import (ConfigurationError, DomainError, EstimationError,
                      IdxFormatError, InfeasibleError, RctBiasError,
                      SamplingError, TrainingError)
-from .scm import (Dataset, ScmConfig, interventional_outcome_means,
-                  oracle_conditional_mean, sample_rct)
+from .scm import Dataset, ScmConfig, oracle_conditional_mean, sample_rct
 from .analytic import (BoundInput, analytic_ad, analytic_discretized_ad,
                        normal_cdf, teb_upper_bound, worst_case_predictor)
-from .annotation import (PositivityReport, SamplingScheme, assign_annotation,
-                         check_positivity, validation_indices)
+from .annotation import SamplingScheme, assign_annotation, validation_indices
 from .models import (Predictor, PredictionMetrics, TrainConfig, discretize,
-                     evaluate_predictions, load_predictor, predict_soft,
-                     save_predictor, train)
+                     evaluate_predictions, predict_soft, train)
 from .metrics import (DiscretizationTestResult, MetricRow, MetricTable,
                       SpearmanMatrix, TTestResult, TebReport, empirical_ad,
                       frechet_distance, paired_discretization_test, spearman,
@@ -27,4 +24,19 @@ from .harness import (ExperimentReport, RunConfig, emit_report,
                       report_from_json, run_convergence_study,
                       run_mnist_bias_study)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "ConfigurationError", "DomainError", "EstimationError", "IdxFormatError",
+    "InfeasibleError", "RctBiasError", "SamplingError", "TrainingError",
+    "Dataset", "ScmConfig", "oracle_conditional_mean", "sample_rct",
+    "BoundInput", "analytic_ad", "analytic_discretized_ad", "normal_cdf",
+    "teb_upper_bound", "worst_case_predictor", "SamplingScheme",
+    "assign_annotation", "validation_indices", "Predictor",
+    "PredictionMetrics", "TrainConfig", "discretize", "evaluate_predictions",
+    "predict_soft", "train", "DiscretizationTestResult", "MetricRow",
+    "MetricTable", "SpearmanMatrix", "TTestResult", "TebReport",
+    "empirical_ad", "frechet_distance", "paired_discretization_test",
+    "spearman", "spearman_matrix", "t_test", "teb_report", "two_sample_t_test",
+    "CausalMnistDataset", "MnistArchive", "PopulationSpec", "build_population",
+    "colorize", "draw_colors", "generate", "load_idx", "read_idx", "write_idx",
+    "ExperimentReport", "RunConfig", "emit_report", "report_from_json",
+    "run_convergence_study", "run_mnist_bias_study"]

@@ -1,4 +1,4 @@
-"""Annotation flag assignment and positivity checking.
+"""Annotation flag assignment and validation-set selection.
 
 Annotation is the selection step that decides which units get a human
 label. Random selection keeps the annotated pool representative; selection
@@ -10,12 +10,12 @@ estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, EstimationError, SamplingError
+from .errors import ConfigurationError, SamplingError
 from .scm import Dataset
 
 SCHEME_KINDS = ("random", "covariate_biased")
@@ -82,64 +82,6 @@ def assign_annotation(dataset: Dataset, scheme: SamplingScheme) -> Dataset:
     s = np.zeros(n, dtype=np.int8)
     s[chosen] = 1
     return dataset.with_annotation(s)
-
-
-@dataclass(frozen=True)
-class StratumReport:
-    value: object
-    n: int
-    n_treated: int
-    p_treated: Optional[float]
-    violated: bool
-    skipped: bool = False
-
-
-@dataclass(frozen=True)
-class PositivityReport:
-    """Per-stratum empirical treatment rates on the annotated pool."""
-
-    covariate: str
-    strata: tuple[StratumReport, ...] = field(default_factory=tuple)
-
-    @property
-    def passed(self) -> bool:
-        return not any(s.violated for s in self.strata)
-
-
-def check_positivity(dataset: Dataset, covariate: str = "w",
-                     strata_values=None) -> PositivityReport:
-    """Check 0 < P(T=1 | W=w) < 1 per stratum on the annotated pool.
-
-    A stratum with samples from only one treatment arm is flagged as a
-    violation; a stratum with no annotated samples is skipped (it carries
-    no probability mass). ``strata_values`` fixes the strata to audit;
-    by default the distinct covariate values present in the annotated
-    pool are used.
-    """
-    ann = dataset.annotated
-    if len(ann) == 0:
-        raise EstimationError("positivity check requires a nonempty annotated pool")
-    col = getattr(ann, covariate, None)
-    if col is None:
-        raise EstimationError(f"dataset has no covariate column {covariate!r}")
-    col = np.asarray(col)
-    if strata_values is None:
-        strata_values = np.unique(col)
-    reports = []
-    for value in strata_values:
-        mask = col == value
-        count = int(mask.sum())
-        if count == 0:
-            reports.append(StratumReport(value=value, n=0, n_treated=0,
-                                         p_treated=None, violated=False,
-                                         skipped=True))
-            continue
-        n_treated = int(ann.t[mask].sum())
-        p_treated = n_treated / count
-        violated = n_treated == 0 or n_treated == count
-        reports.append(StratumReport(value=value, n=count, n_treated=n_treated,
-                                     p_treated=p_treated, violated=violated))
-    return PositivityReport(covariate=covariate, strata=tuple(reports))
 
 
 def validation_indices(dataset: Dataset, size: Optional[int] = None,

@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import asdict, dataclass, fields
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -140,14 +139,8 @@ class MetricTable:
     def __init__(self, rows: Sequence[MetricRow] = ()):
         self.rows = list(rows)
 
-    def append(self, row: MetricRow) -> None:
-        self.rows.append(row)
-
     def __len__(self) -> int:
         return len(self.rows)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MetricTable) and self.rows == other.rows
 
     def column(self, name: str) -> np.ndarray:
         if name in ID_COLUMNS and name != "seed":
@@ -171,25 +164,6 @@ class MetricTable:
                 writer.writerow([
                     rec[n] if n in ("seed", "scheme", "model_kind")
                     else repr(float(rec[n])) for n in names])
-
-    @classmethod
-    def from_csv(cls, path) -> "MetricTable":
-        names = [f.name for f in fields(MetricRow)]
-        rows = []
-        with open(Path(path), newline="") as fh:
-            lines = [ln for ln in fh if not ln.startswith("#")]
-        reader = csv.DictReader(lines)
-        for rec in reader:
-            kwargs = {}
-            for n in names:
-                if n == "seed":
-                    kwargs[n] = int(rec[n])
-                elif n in ("scheme", "model_kind"):
-                    kwargs[n] = rec[n]
-                else:
-                    kwargs[n] = float(rec[n])
-            rows.append(MetricRow(**kwargs))
-        return cls(rows)
 
 
 # --------------------------------------------------------------------------
@@ -280,9 +254,7 @@ class DiscretizationTestResult:
     degenerate: bool = False
 
 
-def paired_discretization_test(table: MetricTable, sides: str = "less",
-                               soft_column: str = "abs_teb_full",
-                               hard_column: str = "abs_teb_full_discretized",
+def paired_discretization_test(table: MetricTable, sides: str = "less"
                                ) -> DiscretizationTestResult:
     """Test whether thresholding worsens the absolute treatment effect bias.
 
@@ -294,8 +266,8 @@ def paired_discretization_test(table: MetricTable, sides: str = "less",
     if len(table) < 2:
         raise EstimationError(
             f"discretization test requires at least 2 rows, got {len(table)}")
-    soft = table.column(soft_column)
-    hard = table.column(hard_column)
+    soft = table.column("abs_teb_full")
+    hard = table.column("abs_teb_full_discretized")
     direction = ("hard worse" if soft.mean() < hard.mean()
                  else "soft worse" if soft.mean() > hard.mean() else "equal")
     res = t_test(soft - hard, mu0=0.0, sides=sides)

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, IdxFormatError
+from .errors import DomainError, IdxFormatError
 from .scm import Dataset
 
 logger = logging.getLogger(__name__)
@@ -271,10 +271,6 @@ class CausalMnistDataset:
         """View the benchmark as an RCT dataset: the background bit is the
         treatment, the pen bit fills the experimental-setting slot, images
         are the observations."""
-        if self.images is None:
-            raise ConfigurationError(
-                "dataset was generated without images; regenerate with "
-                "with_images=True to train on it")
         provenance = {"generator": "causal_mnist", "seed": self.seed,
                       "d": self.spec.d, "designed_ate": self.spec.ate}
         return Dataset(w=self.p, t=self.b, x=self.images, y=self.y, s=self.s,
@@ -285,9 +281,6 @@ class CausalMnistDataset:
         a metadata CSV (index,digit,y,b,p,s) and a JSON spec sidecar."""
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if self.images is None:
-            raise ConfigurationError("cannot save a dataset generated "
-                                     "without images")
         planes = np.ascontiguousarray(self.images.transpose(0, 3, 1, 2))
         write_idx(out_dir / "images.idx", planes)
         with open(out_dir / "metadata.csv", "w", newline="") as fh:
@@ -329,15 +322,13 @@ class CausalMnistDataset:
                    spec=spec, seed=int(sidecar["seed"]))
 
 
-def generate(archive: MnistArchive, spec: PopulationSpec, seed: int,
-             with_images: bool = True) -> CausalMnistDataset:
+def generate(archive: MnistArchive, spec: PopulationSpec,
+             seed: int) -> CausalMnistDataset:
     """Color an archive according to the population spec.
 
     One record per source image, in archive order: the outcome is computed
     from the digit, the color bits are drawn from the Bayes conditional,
-    and the image is blended (unless ``with_images`` is off, which keeps
-    only the causal metadata for cheap Monte Carlo work). The annotation
-    flag starts at 1 everywhere.
+    and the image is blended. The annotation flag starts at 1 everywhere.
     """
     y = (archive.labels > spec.d).astype(np.int8)
     empirical_rate = float(y.mean())
@@ -347,7 +338,7 @@ def generate(archive: MnistArchive, spec: PopulationSpec, seed: int,
             "nominal %.2f (digit frequencies deviate from uniform by %+0.5f)",
             seed, empirical_rate, spec.p_y, empirical_rate - spec.p_y)
     b, p = draw_colors(y, spec, seed)
-    images = colorize(archive.images, b, p) if with_images else None
+    images = colorize(archive.images, b, p)
     s = np.ones(len(y), dtype=np.int8)
     return CausalMnistDataset(images=images, digits=archive.labels.copy(),
                               y=y, b=b, p=p, s=s, spec=spec, seed=seed)

@@ -56,12 +56,11 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import json
 import math
 import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -176,11 +175,6 @@ def param_layout(arch: dict) -> list:
             ("b4", (), CONV_FC_WIDTH),
         ]
     raise ConfigurationError(f"unknown architecture kind {kind!r}")
-
-
-def param_count(arch: dict) -> int:
-    return sum(int(np.prod(shape, dtype=np.int64)) or 1
-               for _, shape, _ in param_layout(arch))
 
 
 def unpack_params(params: np.ndarray, arch: dict) -> dict:
@@ -649,41 +643,3 @@ def evaluate_predictions(scores, labels) -> PredictionMetrics:
                              accuracy=accuracy,
                              balanced_accuracy=float(np.mean(recalls)))
 
-
-# --------------------------------------------------------------------------
-# persistence
-
-_PREDICTOR_FORMAT = "rctbias-predictor-v1"
-
-
-def save_predictor(predictor: Predictor, path) -> None:
-    """Self-describing JSON: architecture, flat parameters, train config."""
-    doc = {
-        "format": _PREDICTOR_FORMAT,
-        "architecture": predictor.architecture,
-        "parameters": [float(p) for p in predictor.params],
-        "train_config": asdict(predictor.train_config)
-        if predictor.train_config else None,
-        "loss_trace": list(predictor.loss_trace),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def load_predictor(path) -> Predictor:
-    with open(Path(path)) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != _PREDICTOR_FORMAT:
-        raise ConfigurationError(
-            f"unrecognized predictor file format {doc.get('format')!r}")
-    config = TrainConfig(**doc["train_config"]) if doc["train_config"] else None
-    params = np.array(doc["parameters"], dtype=np.float64)
-    expected = param_count(doc["architecture"])
-    if len(params) != expected:
-        raise ConfigurationError(
-            f"predictor file has {len(params)} parameters, architecture "
-            f"expects {expected}")
-    return Predictor(architecture=doc["architecture"], params=params,
-                     train_config=config,
-                     loss_trace=tuple(doc.get("loss_trace", ())))

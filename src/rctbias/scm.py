@@ -16,10 +16,7 @@ with distinct seeds safe to run concurrently.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, asdict
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -95,10 +92,6 @@ class Dataset:
     def n_s(self) -> int:
         return int(self.s.sum())
 
-    @property
-    def n_u(self) -> int:
-        return len(self) - self.n_s
-
     def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices)
         return Dataset(self.w[indices], self.t[indices], self.x[indices],
@@ -109,61 +102,10 @@ class Dataset:
         """The annotated partition (s=1)."""
         return self.subset(np.flatnonzero(self.s == 1))
 
-    @property
-    def unannotated(self) -> "Dataset":
-        """The unannotated partition (s=0); disjoint complement of annotated."""
-        return self.subset(np.flatnonzero(self.s == 0))
-
     def with_annotation(self, s) -> "Dataset":
         """Copy of the dataset with a replacement annotation column."""
         return Dataset(self.w, self.t, self.x, self.y, np.asarray(s),
                        self.provenance)
-
-    def to_csv(self, path, provenance_path=None) -> None:
-        """Write columns as CSV (header w,t,x,y,s) plus a JSON sidecar.
-
-        Only scalar observations serialize; image datasets use their own
-        container format.
-        """
-        if self.x.ndim != 1:
-            raise ConfigurationError(
-                "CSV serialization requires scalar observations; "
-                f"x has shape {self.x.shape}")
-        path = Path(path)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["w", "t", "x", "y", "s"])
-            for i in range(len(self)):
-                writer.writerow([repr(float(self.w[i])), int(self.t[i]),
-                                 repr(float(self.x[i])), int(self.y[i]),
-                                 int(self.s[i])])
-        sidecar = Path(provenance_path) if provenance_path else \
-            path.with_suffix(".provenance.json")
-        with open(sidecar, "w") as fh:
-            json.dump(self.provenance, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-
-    @classmethod
-    def from_csv(cls, path, provenance_path=None) -> "Dataset":
-        path = Path(path)
-        cols = {"w": [], "t": [], "x": [], "y": [], "s": []}
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                cols["w"].append(float(row["w"]))
-                cols["t"].append(int(row["t"]))
-                cols["x"].append(float(row["x"]))
-                cols["y"].append(int(row["y"]))
-                cols["s"].append(int(row["s"]))
-        sidecar = Path(provenance_path) if provenance_path else \
-            path.with_suffix(".provenance.json")
-        provenance = {}
-        if sidecar.exists():
-            with open(sidecar) as fh:
-                provenance = json.load(fh)
-        return cls(np.array(cols["w"]), np.array(cols["t"], dtype=np.int8),
-                   np.array(cols["x"]), np.array(cols["y"], dtype=np.int8),
-                   np.array(cols["s"], dtype=np.int8), provenance)
 
 
 def _uniforms(rng: np.random.Generator, shape) -> np.ndarray:
@@ -200,12 +142,3 @@ def oracle_conditional_mean(x, sigma2_y: float):
     out = ndtr(x / np.sqrt(sigma2_y))
     return float(out) if out.ndim == 0 else out
 
-
-def interventional_outcome_means(config: ScmConfig) -> tuple[float, float]:
-    """Closed-form (E[Y | do(T=1)], E[Y | do(T=0)]) for the synthetic RCT.
-
-    Under treatment the observation is N(1, 2), so the outcome mean is
-    phi(1 / sqrt(2 + sigma2_y)); under control it is exactly 0.5.
-    """
-    treated = float(ndtr(1.0 / np.sqrt(2.0 + config.sigma2_y)))
-    return treated, 0.5

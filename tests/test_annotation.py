@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from rctbias import (ConfigurationError, Dataset, EstimationError,
-                     SamplingError, SamplingScheme, assign_annotation,
-                     check_positivity, validation_indices)
+from rctbias import (ConfigurationError, Dataset, SamplingError,
+                     SamplingScheme, assign_annotation, validation_indices)
 
 
 def make_dataset(n, seed=0, n_covariate_values=2):
@@ -35,7 +34,7 @@ class TestAssignAnnotation:
         ds = make_dataset(60000, seed=1)
         out = assign_annotation(ds, SamplingScheme("random", n_s=1800, seed=0))
         assert out.n_s == 1800
-        assert out.n_u == 58200
+        assert len(out) - out.n_s == 58200
 
     def test_biased_scheme_annotates_eligible_only(self):
         ds = make_dataset(60000, seed=2)
@@ -93,45 +92,6 @@ class TestAssignAnnotation:
             "covariate_biased", n_s=100, bias_covariate="w", bias_value=1,
             seed=0))
         assert set(np.unique(out.w[out.s == 1])) == {1.0}
-
-
-class TestCheckPositivity:
-    def test_balanced_rct_passes(self):
-        ds = make_dataset(2000, seed=11)
-        report = check_positivity(ds, covariate="w")
-        assert report.passed
-        assert all(not s.violated for s in report.strata)
-
-    def test_single_arm_stratum_flagged(self):
-        w = np.array([0, 0, 0, 1, 1, 1], dtype=np.float64)
-        t = np.array([1, 1, 1, 0, 1, 0], dtype=np.int8)  # stratum 0: treated only
-        ds = Dataset(w=w, t=t, x=np.zeros(6), y=np.zeros(6, dtype=np.int8),
-                     s=np.ones(6, dtype=np.int8))
-        report = check_positivity(ds, covariate="w")
-        assert not report.passed
-        by_value = {s.value: s for s in report.strata}
-        assert by_value[0.0].violated
-        assert not by_value[1.0].violated
-
-    def test_empty_stratum_skipped(self):
-        # four declared strata, one carries no samples
-        w = np.array([0, 0, 1, 1, 2, 2], dtype=np.float64)
-        t = np.array([0, 1, 0, 1, 0, 1], dtype=np.int8)
-        ds = Dataset(w=w, t=t, x=np.zeros(6), y=np.zeros(6, dtype=np.int8),
-                     s=np.ones(6, dtype=np.int8))
-        report = check_positivity(ds, covariate="w", strata_values=[0, 1, 2, 3])
-        by_value = {s.value: s for s in report.strata}
-        assert by_value[3].skipped and not by_value[3].violated
-        assert by_value[3].p_treated is None
-        evaluated = [s for s in report.strata if not s.skipped]
-        assert len(evaluated) == 3
-        assert all(s.p_treated == 0.5 for s in evaluated)
-        assert report.passed
-
-    def test_empty_annotated_pool_errors(self):
-        ds = make_dataset(10).with_annotation(np.zeros(10, dtype=np.int8))
-        with pytest.raises(EstimationError):
-            check_positivity(ds)
 
 
 class TestValidationIndices:

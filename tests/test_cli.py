@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -58,15 +59,58 @@ class TestSimulate:
         assert json.loads(err)["status"] == "error"
 
     def test_non_integer_config_value_fails(self, tmp_path, capsys):
+        # the same bad value as a config file entry and as a flag
         conf = tmp_path / "run.conf"
         conf.write_text("seeds=two\n")
-        code, _, err = run_cli([
-            "simulate", "--config", str(conf), "--out", str(tmp_path / "x")],
-            capsys)
+        for given in (["--config", str(conf)], ["--seeds", "two"]):
+            code, _, err = run_cli([
+                "simulate", *given, "--out", str(tmp_path / "x")], capsys)
+            assert code == 1
+            summary = json.loads(err)
+            assert summary["status"] == "error"
+            assert "two" in summary["message"]
+            assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("argv, named", [
+        (["simulate", "--sizez", "1500"], "--sizez"),     # unknown flag
+        (["simulate", "--sizes"], "--sizes"),             # value missing
+        ([], "command"),                                  # no subcommand
+    ])
+    def test_usage_error_fails_with_json(self, capsys, argv, named):
+        code, _, err = run_cli(argv, capsys)
         assert code == 1
         summary = json.loads(err)
         assert summary["status"] == "error"
-        assert "two" in summary["message"]
+        assert named in summary["message"]
+
+    def test_every_option_as_flags_or_config_file(self, tmp_path, capsys):
+        options = {"sizes": "1000,1500", "seeds": "5", "seed_list": "3,1",
+                   "p_t": "0.4", "sigma2_y": "2.0", "learning_rate": "0.2",
+                   "epochs": "3", "batch_size": "128", "threshold": "0.6",
+                   "workers": "1"}
+        assert {o.name for o in cli.OPTIONS if "simulate" in o.commands} \
+            == set(options) | {"out"}
+        out = tmp_path / "flags"
+        flags = [arg for name, value in options.items()
+                 for arg in ("--" + name.replace("_", "-"), value)]
+        assert run_cli(["simulate", *flags, "--out", str(out)], capsys)[0] == 0
+        conf = tmp_path / "run.conf"
+        conf.write_text("".join(f"{name}={value}\n"
+                                for name, value in options.items())
+                        + f"out={tmp_path / 'file'}\n")
+        assert run_cli(["simulate", "--config", str(conf)], capsys)[0] == 0
+        doc = (out / "report.json").read_bytes()
+        assert doc == (tmp_path / "file" / "report.json").read_bytes()
+        config = json.loads(doc)["config"]
+        assert config["seeds"] == [3, 1]                  # seed_list wins
+        assert config["sample_sizes"] == [1000, 1500]
+        assert config["learning_rate"] == 0.2 and config["batch_size"] == 128
+        # a key of another subcommand is still rejected
+        conf.write_text("schemes=random_few\n")
+        code, _, err = run_cli(["simulate", "--config", str(conf),
+                                "--out", str(tmp_path / "x")], capsys)
+        assert code == 1
+        assert "schemes" in json.loads(err)["message"]
 
     def test_report_does_not_depend_on_workers_or_output_dir(self, tmp_path,
                                                              capsys):
@@ -213,6 +257,27 @@ class TestExperiment:
         # partial results still written
         doc = json.loads((out / "report.json").read_text())
         assert len(doc["runs"]) == 1
+
+    def test_report_does_not_depend_on_the_blas_thread_count(
+            self, tmp_path, digit_archive_paths):
+        images, labels = digit_archive_paths
+        package_root = str(Path(cli.__file__).parents[1])
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas-{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [package_root,
+                                         os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([
+                sys.executable, "-m", "rctbias.cli", "experiment",
+                "--mnist-images", images, "--mnist-labels", labels,
+                "--schemes", "random_few", "--seeds", "1", "--epochs", "1",
+                "--validation-size", "200", "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=600)
+            assert proc.returncode == 0, proc.stderr
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
 
 
 class TestReportCommand:

@@ -1,11 +1,12 @@
+import csv
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from rctbias import ConfigurationError, MetricTable
-from rctbias import harness
+from rctbias import ConfigurationError
+from rctbias import harness, metrics
 from rctbias.harness import (CONVERGENCE_EXPERIMENT, MNIST_EXPERIMENT,
                              RunConfig, emit_report, report_from_json,
                              run_convergence_study, run_mnist_bias_study)
@@ -116,7 +117,7 @@ class TestMnistStudy:
                            mnist_images=images, mnist_labels=labels,
                            epochs=1)
         report = run_mnist_bias_study(config, workers=2)
-        assert report.metric_table == base.metric_table
+        assert report.metric_table.rows == base.metric_table.rows
         assert report.runs == base.runs
 
     def test_infeasible_scheme_recorded_not_fatal(self, digit_archive_paths):
@@ -143,7 +144,7 @@ def test_all_runs_failed_still_emits_an_empty_table(tmp_path,
                        mnist_labels=labels, epochs=1)
     report = run_mnist_bias_study(config, workers=1)
     assert [e["error"] for e in report.errors] == ["SamplingError"]
-    assert report.metric_table == MetricTable()
+    assert len(report.metric_table) == 0
     doc = json.loads(emit_report(report, tmp_path, formats=("json",))[0]
                      .read_text())
     assert doc["metric_table"] == []
@@ -190,9 +191,13 @@ class TestEmission:
         report = run_mnist_bias_study(config, workers=1)
         paths = emit_report(report, tmp_path, formats=("csv_bundle",))
         metrics_path = next(p for p in paths if p.name == "metrics.csv")
-        assert MetricTable.from_csv(metrics_path) == report.metric_table
-        assert metrics_path.read_text().startswith(
-            f"# config_hash={report.config_hash}")
+        lines = metrics_path.read_text().splitlines()
+        assert lines[0] == f"# config_hash={report.config_hash}"
+        (record,) = csv.DictReader(lines[1:])
+        (row,) = report.metric_table.rows
+        assert (int(record["seed"]), record["scheme"]) == (0, "random_few")
+        for name in metrics.METRIC_COLUMNS:
+            assert float(record[name]) == getattr(row, name)
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError, match="format"):

@@ -1,3 +1,4 @@
+import csv
 import math
 from fractions import Fraction
 
@@ -386,8 +387,14 @@ class TestMetricTable:
         table = make_table(rng.random(8), rng.random(8))
         path = tmp_path / "metrics.csv"
         table.to_csv(path, header_comment="config_hash=abc123")
-        back = MetricTable.from_csv(path)
-        assert back == table
+        lines = path.read_text().splitlines()
+        assert lines[0] == "# config_hash=abc123"
+        records = list(csv.DictReader(lines[1:]))
+        assert [int(r["seed"]) for r in records] == list(range(8))
+        assert {r["scheme"] for r in records} == {"random_few"}
+        for name in metrics_mod.METRIC_COLUMNS:
+            assert np.array_equal([float(r[name]) for r in records],
+                                  table.column(name))
 
     def test_column_extraction(self):
         table = make_table([0.1, 0.2], [0.3, 0.4])

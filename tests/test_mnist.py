@@ -186,7 +186,7 @@ class TestColorizeMatchesFloatBlend:
 class TestGenerate:
     def test_outcome_is_threshold_of_digit(self, digit_archive):
         spec = build_population(3)
-        ds = generate(digit_archive, spec, seed=0, with_images=False)
+        ds = generate(digit_archive, spec, seed=0)
         assert np.array_equal(ds.y, (digit_archive.labels > 3).astype(np.int8))
 
     def test_bit_identical_regeneration(self, digit_archive):
@@ -197,10 +197,9 @@ class TestGenerate:
         assert np.array_equal(a.b, b.b) and np.array_equal(a.p, b.p)
 
     def test_records_and_annotation_default(self, digit_archive):
-        ds = generate(digit_archive, build_population(3), seed=1,
-                      with_images=False)
+        ds = generate(digit_archive, build_population(3), seed=1)
         assert len(ds) == len(digit_archive)
-        assert ds.images is None
+        assert ds.images.shape == (len(digit_archive), 28, 28, 3)
         assert (ds.s == 1).all()
         assert np.array_equal(ds.y, ds.digits > 3)
 
@@ -208,7 +207,7 @@ class TestGenerate:
         spec = build_population(3)
         ads = []
         for seed in range(30):
-            ds = generate(digit_archive, spec, seed=seed, with_images=False)
+            ds = generate(digit_archive, spec, seed=seed)
             y = ds.y.astype(float)
             ads.append(y[ds.b == 1].mean() - y[ds.b == 0].mean())
         assert abs(np.mean(ads) - 0.3) < 0.01

@@ -9,9 +9,8 @@ from scipy.special import ndtr
 import rctbias as rb
 from rctbias import (ConfigurationError, Dataset, DomainError, Predictor,
                      ScmConfig, TrainConfig, TrainingError, discretize,
-                     evaluate_predictions, load_predictor,
-                     oracle_conditional_mean, predict_soft, sample_rct,
-                     save_predictor, train)
+                     evaluate_predictions, oracle_conditional_mean,
+                     predict_soft, sample_rct, train)
 from rctbias import models
 
 from synthdigits import make_digit_images
@@ -291,7 +290,7 @@ class TestPredictSoft:
     def test_zero_parameters_score_half(self):
         arch = {"kind": "logistic", "in_dim": 1}
         pred = Predictor(architecture=arch,
-                         params=np.zeros(models.param_count(arch)))
+                         params=np.zeros(len(models.init_params(arch, 0))))
         assert (predict_soft(pred, np.array([-5.0, 0.0, 5.0])) == 0.5).all()
 
     def test_monotone_in_input_for_positive_slope(self):
@@ -313,8 +312,8 @@ class TestPredictSoft:
         with pytest.raises(DomainError, match="dimension"):
             predict_soft(pred, np.zeros((5, 3)))
         conv_arch = {"kind": "convnet", "height": 28, "width": 28, "channels": 3}
-        conv = Predictor(architecture=conv_arch,
-                         params=np.zeros(models.param_count(conv_arch)))
+        zeros = np.zeros(len(models.init_params(conv_arch, 0)))
+        conv = Predictor(architecture=conv_arch, params=zeros)
         with pytest.raises(DomainError, match="convnet"):
             predict_soft(conv, np.zeros((2, 14, 14, 3), dtype=np.uint8))
 
@@ -494,27 +493,6 @@ class TestEvaluatePredictions:
     def test_length_mismatch(self):
         with pytest.raises(DomainError):
             evaluate_predictions(np.zeros(3), np.zeros(4))
-
-
-class TestPersistence:
-    def test_round_trip(self, tmp_path):
-        ds = sample_rct(ScmConfig(0.5, 1.0, 500, seed=2))
-        pred = train(ds, TrainConfig("logistic", epochs=2, seed=5))
-        path = tmp_path / "predictor.json"
-        save_predictor(pred, path)
-        back = load_predictor(path)
-        assert back.architecture == pred.architecture
-        assert np.array_equal(back.params, pred.params)
-        assert back.train_config == pred.train_config
-        assert back.loss_trace == pred.loss_trace
-        assert np.array_equal(predict_soft(back, ds.x),
-                              predict_soft(pred, ds.x))
-
-    def test_rejects_unknown_format(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"format": "something-else"}')
-        with pytest.raises(ConfigurationError, match="format"):
-            load_predictor(path)
 
 
 @pytest.mark.slow

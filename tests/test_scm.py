@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from rctbias import (ConfigurationError, Dataset, DomainError, ScmConfig,
-                     interventional_outcome_means, oracle_conditional_mean,
-                     sample_rct)
+                     analytic_ad, oracle_conditional_mean, sample_rct)
 
 # Expected conditional means computed with an independent high-precision
 # normal-CDF oracle (mpmath.ncdf; see test_analytic.py for the oracle check):
@@ -52,7 +51,6 @@ class TestSampleRct:
 
     def test_all_flags_start_annotated(self, big_dataset):
         assert big_dataset.s.all()
-        assert big_dataset.n_u == 0
 
     def test_deterministic_per_seed(self):
         config = ScmConfig(p_t=0.3, sigma2_y=2.0, n=5000, seed=42)
@@ -67,7 +65,7 @@ class TestSampleRct:
         assert not np.array_equal(a.x, b.x)
 
     def test_empirical_ad_matches_interventional_difference(self, big_dataset):
-        m1, m0 = interventional_outcome_means(ScmConfig(0.5, 1.0, 10))
+        m1, m0 = 0.5 + analytic_ad(1.0), 0.5
         y, t = big_dataset.y, big_dataset.t
         ead = y[t == 1].mean() - y[t == 0].mean()
         n1 = (t == 1).sum()
@@ -76,7 +74,7 @@ class TestSampleRct:
         assert abs(ead - (m1 - m0)) < 3 * se
 
     def test_oracle_mean_averages_to_interventional_mean(self, big_dataset):
-        m1, m0 = interventional_outcome_means(ScmConfig(0.5, 1.0, 10))
+        m1, m0 = 0.5 + analytic_ad(1.0), 0.5
         x, t = big_dataset.x, big_dataset.t
         for arm, target in ((1, m1), (0, m0)):
             scores = oracle_conditional_mean(x[t == arm], 1.0)
@@ -100,18 +98,16 @@ class TestOracleConditionalMean:
 
 
 class TestInterventionalMeans:
+    """E[Y | do(T=1)] = 0.5 + analytic_ad(sigma2_y); E[Y | do(T=0)] = 0.5."""
+
     def test_unit_variance(self):
-        m1, m0 = interventional_outcome_means(ScmConfig(0.5, 1.0, 10))
-        assert abs(m1 - PHI_1_SQRT3) < 1e-12
-        assert m0 == 0.5
+        assert abs(0.5 + analytic_ad(1.0) - PHI_1_SQRT3) < 1e-12
 
     def test_infinite_noise_limit(self):
-        m1, _ = interventional_outcome_means(ScmConfig(0.5, 10 ** 6, 10))
-        assert abs(m1 - 0.5) < 1e-3
+        assert abs(0.5 + analytic_ad(10 ** 6) - 0.5) < 1e-3
 
     def test_vanishing_noise_limit(self):
-        m1, _ = interventional_outcome_means(ScmConfig(0.5, 1e-4, 10))
-        assert abs(m1 - PHI_1_SQRT2) < 1e-3
+        assert abs(0.5 + analytic_ad(1e-4) - PHI_1_SQRT2) < 1e-3
 
 
 class TestDataset:
@@ -120,8 +116,8 @@ class TestDataset:
         s = np.zeros(100, dtype=np.int8)
         s[:30] = 1
         ds = ds.with_annotation(s)
-        assert ds.n_s == 30 and ds.n_u == 70
-        assert len(ds.annotated) + len(ds.unannotated) == len(ds)
+        assert ds.n_s == len(ds.annotated) == 30
+        assert np.array_equal(ds.annotated.x, ds.x[:30])
 
     def test_rejects_nonbinary_columns(self):
         with pytest.raises(ConfigurationError, match="binary"):
@@ -147,23 +143,3 @@ class TestDataset:
             assert np.shares_memory(getattr(ds, name), col)
         x[0] = 7.0
         assert ds.x[0] == 7.0
-
-    def test_csv_round_trip(self, tmp_path):
-        ds = sample_rct(ScmConfig(0.4, 1.5, 200, seed=9))
-        path = tmp_path / "data.csv"
-        ds.to_csv(path)
-        back = Dataset.from_csv(path)
-        assert np.array_equal(ds.w, back.w)
-        assert np.array_equal(ds.t, back.t)
-        assert np.array_equal(ds.x, back.x)
-        assert np.array_equal(ds.y, back.y)
-        assert np.array_equal(ds.s, back.s)
-        assert back.provenance["seed"] == 9
-        assert back.provenance["p_t"] == 0.4
-
-    def test_csv_rejects_image_observations(self, tmp_path):
-        images = np.zeros((4, 2, 2, 3), dtype=np.uint8)
-        ds = Dataset(w=[0, 1, 0, 1], t=[0, 1, 0, 1], x=images,
-                     y=[0, 1, 0, 1], s=[1, 1, 1, 1])
-        with pytest.raises(ConfigurationError, match="scalar"):
-            ds.to_csv(tmp_path / "bad.csv")
