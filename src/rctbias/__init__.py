@@ -13,10 +13,10 @@ from .analytic import (BoundInput, analytic_ad, analytic_discretized_ad,
 from .annotation import SamplingScheme, assign_annotation, validation_indices
 from .models import (Predictor, PredictionMetrics, TrainConfig, discretize,
                      evaluate_predictions, predict_soft, train)
-from .metrics import (DiscretizationTestResult, MetricRow, MetricTable,
-                      SpearmanMatrix, TTestResult, TebReport, empirical_ad,
-                      frechet_distance, paired_discretization_test, spearman,
-                      spearman_matrix, t_test, teb_report, two_sample_t_test)
+from .metrics import (DiscretizationTestResult, TTestResult, TebReport,
+                      empirical_ad, frechet_distance,
+                      paired_discretization_test, spearman, spearman_matrix,
+                      t_test, teb_report, two_sample_t_test)
 from .mnist import (CausalMnistDataset, MnistArchive, PopulationSpec,
                     build_population, colorize, draw_colors, generate,
                     load_idx, read_idx, write_idx)
@@ -32,10 +32,10 @@ __all__ = [
     "teb_upper_bound", "worst_case_predictor", "SamplingScheme",
     "assign_annotation", "validation_indices", "Predictor",
     "PredictionMetrics", "TrainConfig", "discretize", "evaluate_predictions",
-    "predict_soft", "train", "DiscretizationTestResult", "MetricRow",
-    "MetricTable", "SpearmanMatrix", "TTestResult", "TebReport",
-    "empirical_ad", "frechet_distance", "paired_discretization_test",
-    "spearman", "spearman_matrix", "t_test", "teb_report", "two_sample_t_test",
+    "predict_soft", "train", "DiscretizationTestResult", "TTestResult",
+    "TebReport", "empirical_ad", "frechet_distance",
+    "paired_discretization_test", "spearman", "spearman_matrix", "t_test",
+    "teb_report", "two_sample_t_test",
     "CausalMnistDataset", "MnistArchive", "PopulationSpec", "build_population",
     "colorize", "draw_colors", "generate", "load_idx", "read_idx", "write_idx",
     "ExperimentReport", "RunConfig", "emit_report", "report_from_json",

@@ -70,8 +70,6 @@ OPTIONS = tuple(Option(*row) for row in (
     ("workers", STUDIES, int, None,
      "process pool size (default: RCTBIAS_WORKERS, else 1)"),
     ("input", (REP,), str, REQUIRED, "path to a stored report.json"),
-    ("formats", (REP,), _strs, "json,csv_bundle",
-     "comma-separated output formats"),
 ))
 # option names that differ from their RunConfig field
 _FIELDS = {"sizes": "sample_sizes", "d": "digit_threshold"}
@@ -86,13 +84,13 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
-        prog="rctbias",
+        prog="rctbias", allow_abbrev=False,
         description="Simulate and audit ML-induced bias in treatment effect "
                     "estimation on partially annotated RCTs.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, _) in COMMANDS.items():
-        cmd = sub.add_parser(command, help=help_text)
+        cmd = sub.add_parser(command, help=help_text, allow_abbrev=False)
         cmd.add_argument("--config", help="key=value config file; flags win")
         for option in OPTIONS:
             if command in option.commands:
@@ -182,8 +180,7 @@ def _cmd_mnist_gen(values: dict) -> int:
 
 def _cmd_report(values: dict) -> int:
     report = harness.report_from_json(values["input"])
-    _print_written(harness.emit_report(report, values["out"],
-                                       formats=values["formats"]))
+    _print_written(harness.emit_report(report, values["out"]))
     return 0
 
 

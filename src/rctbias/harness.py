@@ -60,6 +60,20 @@ MNIST_SCHEMES = {
 CONVERGENCE_EXPERIMENT = "convergence"
 MNIST_EXPERIMENT = "mnist_bias"
 
+# each study's predictor and the training settings a RunConfig leaves None
+TRAINING_DEFAULTS = {
+    CONVERGENCE_EXPERIMENT: {"model_kind": "logistic", "learning_rate": 0.05,
+                             "epochs": 10, "batch_size": 256},
+    MNIST_EXPERIMENT: {"model_kind": "convnet", "learning_rate": 0.001,
+                       "epochs": 6, "batch_size": 64},
+}
+
+# the per-run evaluation metrics of the colored-digit study: the columns of
+# its metric table, its correlation matrices and its model-selection checks
+METRIC_COLUMNS = ("bce_val", "accuracy_val", "balanced_accuracy_val",
+                  "abs_teb_val", "accuracy_full", "balanced_accuracy_full",
+                  "abs_teb_full", "abs_teb_full_discretized")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -79,8 +93,8 @@ class RunConfig:
     digit_threshold: int = 3
     schemes: tuple = ("random_few", "biased_few")
     validation_size: Optional[int] = None   # None: as large as the annotated pool
-    # training
-    learning_rate: Optional[float] = None   # None: per-experiment default
+    # training; None takes the study's TRAINING_DEFAULTS
+    learning_rate: Optional[float] = None
     epochs: Optional[int] = None
     batch_size: Optional[int] = None
 
@@ -98,6 +112,25 @@ class RunConfig:
                 raise ConfigurationError(
                     f"unknown scheme {scheme!r}; choose from "
                     f"{tuple(MNIST_SCHEMES)}")
+        # the checks of the study's own configs, before any run starts
+        self.train_config(seed=0)
+        if self.experiment == CONVERGENCE_EXPERIMENT:
+            for n in self.sample_sizes:
+                scm.ScmConfig(p_t=self.p_t, sigma2_y=self.sigma2_y, n=n)
+        else:
+            mnist.build_population(self.digit_threshold)
+            if self.validation_size is not None and self.validation_size < 1:
+                raise ConfigurationError(
+                    f"validation_size must be >= 1, got {self.validation_size}")
+
+    def train_config(self, seed: int) -> models.TrainConfig:
+        """The training settings of one run: the study's defaults, with each
+        training field that is not None in their place."""
+        settings = dict(TRAINING_DEFAULTS[self.experiment])
+        for name in ("learning_rate", "epochs", "batch_size"):
+            if getattr(self, name) is not None:
+                settings[name] = getattr(self, name)
+        return models.TrainConfig(seed=seed, **settings)
 
 
 @dataclass
@@ -117,14 +150,15 @@ class ExperimentReport:
     errors: list = field(default_factory=list)
 
     @property
-    def metric_table(self) -> Optional[metrics.MetricTable]:
-        """One row per colored-digit run; None for the convergence study."""
+    def metric_table(self) -> Optional[list]:
+        """One row dict per colored-digit run: its seed, scheme, model kind
+        and METRIC_COLUMNS; None for the convergence study."""
         if self.experiment != MNIST_EXPERIMENT:
             return None
-        return metrics.MetricTable([metrics.MetricRow(
-            seed=run["seed"], scheme=run["scheme"], model_kind="convnet",
-            **{name: run[name] for name in metrics.METRIC_COLUMNS})
-            for run in self.runs])
+        return [{"seed": run["seed"], "scheme": run["scheme"],
+                 "model_kind": "convnet",
+                 **{name: run[name] for name in METRIC_COLUMNS}}
+                for run in self.runs]
 
     @property
     def violins(self) -> dict:
@@ -222,13 +256,7 @@ def _convergence_cell(task: dict) -> dict:
     dataset = scm.sample_rct(scm.ScmConfig(p_t=config.p_t,
                                            sigma2_y=config.sigma2_y,
                                            n=n, seed=gen_seed))
-    train_config = models.TrainConfig(
-        model_kind="logistic",
-        learning_rate=config.learning_rate or 0.05,
-        epochs=config.epochs or 10,
-        batch_size=config.batch_size or 256,
-        seed=train_seed)
-    predictor = models.train(dataset, train_config)
+    predictor = models.train(dataset, config.train_config(train_seed))
     scores = models.predict_soft(predictor, dataset.x)
     report = metrics.teb_report(
         scores, dataset.y, dataset.t,
@@ -295,11 +323,10 @@ def _init_mnist_worker(images_path: str, labels_path: str) -> None:
 
 def _mnist_run(task: dict) -> dict:
     """One (scheme, seed) run of the colored-digit study."""
-    scheme_name = task["scheme"]
-    seed = task["seed"]
+    scheme_name, seed, config = task["scheme"], task["seed"], task["config"]
     kind, n_s = MNIST_SCHEMES[scheme_name]
     gen_seed, ann_seed, val_seed, train_seed = _subseeds(seed, 4)
-    spec = mnist.build_population(task["digit_threshold"])
+    spec = mnist.build_population(config.digit_threshold)
     colored = mnist.generate(_WORKER_ARCHIVE, spec, seed=gen_seed)
     rct = colored.as_rct_dataset()
     scheme = annotation.SamplingScheme(
@@ -309,12 +336,9 @@ def _mnist_run(task: dict) -> dict:
         seed=ann_seed)
     dataset = annotation.assign_annotation(rct, scheme)
     val_idx = annotation.validation_indices(
-        dataset, size=task["validation_size"], seed=val_seed)
-    train_config = models.TrainConfig(
-        model_kind="convnet", learning_rate=task["learning_rate"],
-        epochs=task["epochs"], batch_size=task["batch_size"],
-        seed=train_seed)
-    predictor = models.train(dataset.annotated, train_config)
+        dataset, size=config.validation_size, seed=val_seed)
+    predictor = models.train(dataset.annotated,
+                             config.train_config(train_seed))
     scores = models.predict_soft(predictor, dataset.x)
 
     val_scores = scores[val_idx]
@@ -324,12 +348,12 @@ def _mnist_run(task: dict) -> dict:
     val_teb = metrics.teb_report(val_scores, val_y, val_t,
                                  reference_ate=spec.ate,
                                  provenance="designed",
-                                 threshold=task["threshold"])
+                                 threshold=config.threshold)
     full_quality = models.evaluate_predictions(scores, dataset.y)
     full_teb = metrics.teb_report(scores, dataset.y, dataset.t,
                                   reference_ate=spec.ate,
                                   provenance="designed",
-                                  threshold=task["threshold"])
+                                  threshold=config.threshold)
     return {
         "scheme": scheme_name, "seed": seed,
         "bce_val": val_quality.bce,
@@ -362,15 +386,8 @@ def run_mnist_bias_study(config: RunConfig,
     report = ExperimentReport(
         experiment=MNIST_EXPERIMENT, config=asdict(config),
         config_hash=config_hash(config), tool_version=__version__)
-    tasks = [{
-        "scheme": scheme, "seed": seed,
-        "digit_threshold": config.digit_threshold,
-        "validation_size": config.validation_size,
-        "learning_rate": config.learning_rate or 0.001,
-        "epochs": config.epochs or 6,
-        "batch_size": config.batch_size or 64,
-        "threshold": config.threshold,
-    } for scheme in config.schemes for seed in config.seeds]
+    tasks = [{"scheme": scheme, "seed": seed, "config": config}
+             for scheme in config.schemes for seed in config.seeds]
 
     report.runs, report.errors = _sweep(
         _mnist_run, tasks, ("scheme", "seed"), workers,
@@ -381,9 +398,13 @@ def run_mnist_bias_study(config: RunConfig,
     return report
 
 
+def _column(rows: list, name: str) -> np.ndarray:
+    """The values of ``name`` across ``rows`` (None becomes NaN)."""
+    return np.array([row[name] for row in rows], dtype=np.float64)
+
+
 def _aggregate_mnist(report: ExperimentReport, config: RunConfig) -> None:
     runs = report.runs
-    table = report.metric_table
 
     by_scheme = {}
     for scheme in config.schemes:
@@ -391,30 +412,31 @@ def _aggregate_mnist(report: ExperimentReport, config: RunConfig) -> None:
         if not rows:
             continue
         by_scheme[scheme] = rows
-        terb = np.array([r["terb_full"] for r in rows], dtype=np.float64)
-        teb = np.array([r["teb_full"] for r in rows], dtype=np.float64)
+        terb = _column(rows, "terb_full")
+        teb = _column(rows, "teb_full")
         agg = {
             "runs": len(rows),
             "mean_teb": float(teb.mean()),
             "std_teb": float(teb.std(ddof=1)) if len(rows) > 1 else 0.0,
             "mean_abs_terb": float(np.abs(terb).mean()),
-            "mean_accuracy_full": float(np.mean(
-                [r["accuracy_full"] for r in rows])),
+            "mean_accuracy_full": float(_column(rows, "accuracy_full").mean()),
         }
         report.aggregates.setdefault("per_scheme", {})[scheme] = agg
         if len(rows) >= 2:
             res = metrics.t_test(teb, mu0=0.0, sides="two")
             report.tests.setdefault("teb_zero", {})[scheme] = asdict(res)
 
-    if len(table) >= 2:
-        res = metrics.paired_discretization_test(table, sides="less")
+    if len(runs) >= 2:
+        res = metrics.paired_discretization_test(
+            _column(runs, "abs_teb_full"),
+            _column(runs, "abs_teb_full_discretized"), sides="less")
         report.tests["discretization_paired"] = asdict(res)
 
     for biased, random_ in (("biased_few", "random_few"),
                             ("biased_many", "random_many")):
         if biased in by_scheme and random_ in by_scheme:
-            abs_biased = np.abs([r["terb_full"] for r in by_scheme[biased]])
-            abs_random = np.abs([r["terb_full"] for r in by_scheme[random_]])
+            abs_biased = np.abs(_column(by_scheme[biased], "terb_full"))
+            abs_random = np.abs(_column(by_scheme[random_], "terb_full"))
             if len(abs_biased) >= 2 and len(abs_random) >= 2:
                 res = metrics.two_sample_t_test(abs_biased, abs_random,
                                                 sides="greater")
@@ -424,27 +446,22 @@ def _aggregate_mnist(report: ExperimentReport, config: RunConfig) -> None:
                 report.tests.setdefault("abs_terb_biased_vs_random", {})[
                     f"{biased}_vs_{random_}"] = entry
 
-    groups = {"all": table,
-              "random": table.select(lambda r: r.scheme.startswith("random")),
-              "biased": table.select(lambda r: r.scheme.startswith("biased"))}
-    for name, sub in groups.items():
-        if len(sub) < 3:
-            continue
-        mat = metrics.spearman_matrix(sub)
-        report.correlations[name] = {
-            "columns": list(mat.columns),
-            "matrix": [[float(v) for v in row] for row in mat.values],
-            "undefined": list(mat.undefined),
-        }
-    if len(table) >= 3:
-        abs_teb_full = table.column("abs_teb_full")
+    groups = {"all": runs,
+              "random": [r for r in runs if r["scheme"].startswith("random")],
+              "biased": [r for r in runs if r["scheme"].startswith("biased")]}
+    for name, rows in groups.items():
+        if len(rows) >= 3:
+            report.correlations[name] = metrics.spearman_matrix(
+                {column: _column(rows, column) for column in METRIC_COLUMNS})
+    if len(runs) >= 3:
+        abs_teb_full = _column(runs, "abs_teb_full")
         report.aggregates["model_selection"] = {
             "spearman_absteb_val_vs_full": metrics.spearman(
-                table.column("abs_teb_val"), abs_teb_full),
+                _column(runs, "abs_teb_val"), abs_teb_full),
             "spearman_accuracy_val_vs_full_absteb": metrics.spearman(
-                table.column("accuracy_val"), abs_teb_full),
+                _column(runs, "accuracy_val"), abs_teb_full),
             "spearman_balanced_accuracy_val_vs_full_absteb": metrics.spearman(
-                table.column("balanced_accuracy_val"), abs_teb_full),
+                _column(runs, "balanced_accuracy_val"), abs_teb_full),
         }
 
 
@@ -467,15 +484,13 @@ def _sanitize(obj):
 
 
 def report_to_dict(report: ExperimentReport) -> dict:
-    table = report.metric_table
     doc = {
         "experiment": report.experiment,
         "config": report.config,
         "config_hash": report.config_hash,
         "tool_version": report.tool_version,
         "runs": report.runs,
-        "metric_table": [asdict(r) for r in table.rows]
-        if table is not None else None,
+        "metric_table": report.metric_table,
         "aggregates": report.aggregates,
         "tests": report.tests,
         "correlations": report.correlations,
@@ -497,9 +512,8 @@ def report_from_json(path) -> ExperimentReport:
         errors=doc.get("errors", []))
 
 
-def emit_report(report: ExperimentReport, out_dir,
-                formats=("json", "csv_bundle")) -> list:
-    """Write the report files; returns the paths written.
+def emit_report(report: ExperimentReport, out_dir) -> list:
+    """Write report.json and the CSV files; returns the paths written.
 
     Emission is byte-stable: keys are sorted, floats use their shortest
     round-trip representation, and the config hash is embedded in every
@@ -511,65 +525,51 @@ def emit_report(report: ExperimentReport, out_dir,
     except OSError as exc:
         raise ConfigurationError(f"cannot create output directory {out_dir}: "
                                  f"{exc}") from exc
-    written = []
-    for fmt in formats:
-        if fmt == "json":
-            path = out_dir / "report.json"
-            payload = json.dumps(report_to_dict(report), sort_keys=True,
-                                 indent=2, allow_nan=False)
-            path.write_text(payload + "\n")
-            written.append(path)
-        elif fmt == "csv_bundle":
-            written.extend(_emit_csv_bundle(report, out_dir))
-        else:
-            raise ConfigurationError(f"unknown report format {fmt!r}")
-    return written
+    path = out_dir / "report.json"
+    payload = json.dumps(report_to_dict(report), sort_keys=True, indent=2,
+                         allow_nan=False)
+    path.write_text(payload + "\n")
+    return [path] + _emit_csv_bundle(report, out_dir)
+
+
+def _csv_cell(value) -> str:
+    """Empty for None or NaN, the repr of a float, else the value's str."""
+    value = _sanitize(value)
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _emit_csv_bundle(report: ExperimentReport, out_dir: Path) -> list:
-    written = []
-    stamp = f"config_hash={report.config_hash}"
+    """Write each CSV file: the config-hash stamp, a header line, then one
+    line per row."""
+    files = {}   # file name -> (header, rows)
     table, violins = report.metric_table, report.violins
     if table is not None:
-        path = out_dir / "metrics.csv"
-        table.to_csv(path, header_comment=stamp)
-        written.append(path)
+        header = ("seed", "scheme", "model_kind") + METRIC_COLUMNS
+        files["metrics.csv"] = (header, [[row[k] for k in header]
+                                         for row in table])
     if report.runs:
-        path = out_dir / "runs.csv"
         keys = sorted({k for run in report.runs for k in run})
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# {stamp}\n")
-            fh.write(",".join(keys) + "\n")
-            for run in report.runs:
-                cells = []
-                for key in keys:
-                    value = _sanitize(run.get(key))
-                    if isinstance(value, float):
-                        cells.append(repr(value))
-                    elif value is None:
-                        cells.append("")
-                    else:
-                        cells.append(str(value))
-                fh.write(",".join(cells) + "\n")
-        written.append(path)
+        files["runs.csv"] = (keys, [[run.get(k) for k in keys]
+                                    for run in report.runs])
     if violins:
-        path = out_dir / "violins.csv"
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# {stamp}\n")
-            fh.write("scheme,series,index,value\n")
-            for scheme in sorted(violins):
-                for series in sorted(violins[scheme]):
-                    for i, value in enumerate(violins[scheme][series]):
-                        fh.write(f"{scheme},{series},{i},{repr(float(value))}\n")
-        written.append(path)
+        files["violins.csv"] = (("scheme", "series", "index", "value"), [
+            (scheme, series, i, value)
+            for scheme in sorted(violins)
+            for series in sorted(violins[scheme])
+            for i, value in enumerate(violins[scheme][series])])
     for group in sorted(report.correlations):
         payload = report.correlations[group]
-        mat = metrics.SpearmanMatrix(
-            columns=tuple(payload["columns"]),
-            values=np.array([[math.nan if v is None else v for v in row]
-                             for row in payload["matrix"]]),
-            undefined=tuple(payload.get("undefined", ())))
-        path = out_dir / f"correlations_{group}.csv"
-        mat.to_csv(path, header_comment=stamp)
+        files[f"correlations_{group}.csv"] = (
+            ["metric", *payload["columns"]],
+            [[name, *row] for name, row in zip(payload["columns"],
+                                               payload["matrix"])])
+    written = []
+    for name, (header, rows) in files.items():
+        lines = [f"# config_hash={report.config_hash}", ",".join(header)]
+        lines += [",".join(map(_csv_cell, row)) for row in rows]
+        path = out_dir / name
+        path.write_text("\n".join(lines) + "\n")
         written.append(path)
     return written

@@ -1,6 +1,7 @@
 """Causal evaluation layer: empirical associational differences, treatment
 effect bias (TEB) reports, hypothesis tests, rank-correlation matrices and
-the Gaussian Frechet distance.
+the Gaussian Frechet distance. The tests and correlations take metric
+columns as plain arrays, one value per run.
 
 TEB semantics: under randomization the interventional outcome means are
 identified by conditional sample means over the full dataset, so the bias
@@ -15,10 +16,9 @@ scale-free error.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import asdict, dataclass, fields
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.special import stdtr
@@ -109,64 +109,6 @@ def teb_report(scores, labels, treatments, reference_ate: Optional[float] = None
 
 
 # --------------------------------------------------------------------------
-# metric table
-
-METRIC_COLUMNS = ("bce_val", "accuracy_val", "balanced_accuracy_val",
-                  "abs_teb_val", "accuracy_full", "balanced_accuracy_full",
-                  "abs_teb_full", "abs_teb_full_discretized")
-ID_COLUMNS = ("seed", "scheme", "model_kind")
-
-
-@dataclass(frozen=True)
-class MetricRow:
-    seed: int
-    scheme: str
-    model_kind: str
-    bce_val: float
-    accuracy_val: float
-    balanced_accuracy_val: float
-    abs_teb_val: float
-    accuracy_full: float
-    balanced_accuracy_full: float
-    abs_teb_full: float
-    abs_teb_full_discretized: float
-
-
-class MetricTable:
-    """One row of evaluation metrics per run; the substrate for the
-    correlation matrices and the hypothesis tests."""
-
-    def __init__(self, rows: Sequence[MetricRow] = ()):
-        self.rows = list(rows)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def column(self, name: str) -> np.ndarray:
-        if name in ID_COLUMNS and name != "seed":
-            return np.array([getattr(r, name) for r in self.rows])
-        values = np.array([getattr(r, name) for r in self.rows],
-                          dtype=np.float64)
-        return values
-
-    def select(self, predicate) -> "MetricTable":
-        return MetricTable([r for r in self.rows if predicate(r)])
-
-    def to_csv(self, path, header_comment: Optional[str] = None) -> None:
-        names = [f.name for f in fields(MetricRow)]
-        with open(path, "w", newline="") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            writer = csv.writer(fh)
-            writer.writerow(names)
-            for row in self.rows:
-                rec = asdict(row)
-                writer.writerow([
-                    rec[n] if n in ("seed", "scheme", "model_kind")
-                    else repr(float(rec[n])) for n in names])
-
-
-# --------------------------------------------------------------------------
 # hypothesis tests
 
 @dataclass(frozen=True)
@@ -254,20 +196,21 @@ class DiscretizationTestResult:
     degenerate: bool = False
 
 
-def paired_discretization_test(table: MetricTable, sides: str = "less"
+def paired_discretization_test(soft, hard, sides: str = "less"
                                ) -> DiscretizationTestResult:
     """Test whether thresholding worsens the absolute treatment effect bias.
 
-    Runs pair the soft and discretized |TEB| of the same model, so this is a
-    paired t-test on the differences soft - hard, by default with the
-    one-sided alternative mean < 0 (discretization hurts). Constant
-    differences yield a degenerate-flagged result.
+    ``soft`` and ``hard`` hold the soft and discretized |TEB| of the same
+    runs, so this is a paired t-test on the differences soft - hard, by
+    default with the one-sided alternative mean < 0 (discretization hurts).
+    Constant differences yield a degenerate-flagged result.
     """
-    if len(table) < 2:
+    soft = np.asarray(soft, dtype=np.float64)
+    hard = np.asarray(hard, dtype=np.float64)
+    if len(soft) != len(hard) or len(soft) < 2:
         raise EstimationError(
-            f"discretization test requires at least 2 rows, got {len(table)}")
-    soft = table.column("abs_teb_full")
-    hard = table.column("abs_teb_full_discretized")
+            "discretization test requires two equal-length arrays of >= 2 "
+            f"runs, got {len(soft)} and {len(hard)}")
     direction = ("hard worse" if soft.mean() < hard.mean()
                  else "soft worse" if soft.mean() > hard.mean() else "equal")
     res = t_test(soft - hard, mu0=0.0, sides=sides)
@@ -292,51 +235,36 @@ def spearman(x, y) -> float:
     return float(np.corrcoef(rx, ry)[0, 1])
 
 
-@dataclass(frozen=True)
-class SpearmanMatrix:
-    columns: tuple
-    values: np.ndarray
-    undefined: tuple = ()
+def spearman_matrix(columns: dict) -> dict:
+    """Pairwise Spearman matrix over named metric columns ({name: values}).
 
-    def to_csv(self, path, header_comment: Optional[str] = None) -> None:
-        with open(path, "w", newline="") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["metric"] + list(self.columns))
-            for name, row in zip(self.columns, self.values):
-                writer.writerow([name] + [repr(float(v)) for v in row])
-
-
-def spearman_matrix(table: MetricTable,
-                    columns: Sequence[str] = METRIC_COLUMNS) -> SpearmanMatrix:
-    """Pairwise Spearman matrix over the selected metric columns.
-
+    Returns {"columns": names, "matrix": rows of floats, "undefined": names}.
     Constant columns get NaN off-diagonal entries and are listed in
     ``undefined``; the diagonal is exactly 1 regardless.
     """
-    if len(table) < 3:
-        raise EstimationError(
-            f"correlation matrix requires at least 3 rows, got {len(table)}")
-    data = {}
-    for name in columns:
-        col = table.column(name)
-        if not np.isfinite(col).all():
+    names = list(columns)
+    lengths = sorted({len(values) for values in columns.values()})
+    if len(lengths) != 1 or lengths[0] < 3:
+        raise EstimationError("correlation matrix requires equal-length "
+                              f"columns of >= 3 rows, got lengths {lengths}")
+    ranks = {}
+    for name in names:
+        values = np.asarray(columns[name], dtype=np.float64)
+        if not np.isfinite(values).all():
             raise EstimationError(f"column {name!r} is not fully populated")
-        data[name] = rankdata(col)
-    k = len(columns)
-    values = np.eye(k)
-    undefined = [name for name in columns if data[name].std() == 0.0]
-    for i in range(k):
-        for j in range(i + 1, k):
-            ci, cj = columns[i], columns[j]
+        ranks[name] = rankdata(values)
+    undefined = [name for name in names if ranks[name].std() == 0.0]
+    matrix = np.eye(len(names))
+    for i, ci in enumerate(names):
+        for j in range(i + 1, len(names)):
+            cj = names[j]
             if ci in undefined or cj in undefined:
                 r = math.nan
             else:
-                r = float(np.corrcoef(data[ci], data[cj])[0, 1])
-            values[i, j] = values[j, i] = r
-    return SpearmanMatrix(columns=tuple(columns), values=values,
-                          undefined=tuple(undefined))
+                r = float(np.corrcoef(ranks[ci], ranks[cj])[0, 1])
+            matrix[i, j] = matrix[j, i] = r
+    return {"columns": names, "matrix": matrix.tolist(),
+            "undefined": undefined}
 
 
 # --------------------------------------------------------------------------

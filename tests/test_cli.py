@@ -83,6 +83,26 @@ class TestSimulate:
         assert summary["status"] == "error"
         assert named in summary["message"]
 
+    @pytest.mark.parametrize("argv, named", [
+        (["--epochs", "0"], "epochs must be >= 1, got 0"),
+        (["--batch-size", "0"], "batch_size must be >= 1, got 0"),
+        (["--learning-rate", "0"], "learning_rate must be > 0, got 0.0"),
+        (["--sizes", "0"], "n must be an integer >= 1, got 0"),
+        (["--sizes", "-5"], "n must be an integer >= 1, got -5"),
+        (["--p-t", "2"], "p_t must satisfy 0 < p_t < 1, got 2.0"),
+        (["--size", "1200"], "--size"),      # flags are never abbreviated
+    ])
+    def test_bad_study_value_fails_before_any_run(self, tmp_path, capsys,
+                                                  argv, named):
+        out = tmp_path / "sim"
+        code, _, err = run_cli(["simulate", "--seeds", "1", *argv,
+                                "--out", str(out)], capsys)
+        assert code == 1
+        summary = json.loads(err)
+        assert summary["status"] == "error"
+        assert named in summary["message"]
+        assert not out.exists()
+
     def test_every_option_as_flags_or_config_file(self, tmp_path, capsys):
         options = {"sizes": "1000,1500", "seeds": "5", "seed_list": "3,1",
                    "p_t": "0.4", "sigma2_y": "2.0", "learning_rate": "0.2",
@@ -173,6 +193,25 @@ class TestMnistGen:
             "--mnist-labels", str(tmp_path / "nope2.idx")], capsys)
         assert code == 1
         assert json.loads(err)["status"] == "error"
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--d", "9"], "digit threshold must be an integer in 1..7, got 9"),
+    (["--validation-size", "0"], "validation_size must be >= 1, got 0"),
+])
+def test_bad_digit_study_value_fails_before_any_run(tmp_path, capsys, argv,
+                                                    named,
+                                                    digit_archive_paths):
+    images, labels = digit_archive_paths
+    out = tmp_path / "exp"
+    code, _, err = run_cli([
+        "experiment", "--mnist-images", images, "--mnist-labels", labels,
+        "--seeds", "1", *argv, "--out", str(out)], capsys)
+    assert code == 1
+    summary = json.loads(err)
+    assert summary["status"] == "error"
+    assert named in summary["message"]
+    assert not out.exists()
 
 
 def test_non_integer_worker_variable_fails(tmp_path, capsys, monkeypatch,

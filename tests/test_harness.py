@@ -33,6 +33,18 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError, match="experiment"):
             RunConfig(experiment="field_study")
 
+    def test_training_settings_default_per_study_and_zero_is_set(self):
+        convergence = RunConfig(experiment=CONVERGENCE_EXPERIMENT,
+                                batch_size=32).train_config(seed=5)
+        assert (convergence.model_kind, convergence.learning_rate,
+                convergence.epochs, convergence.batch_size,
+                convergence.seed) == ("logistic", 0.05, 10, 32, 5)
+        digits = RunConfig(experiment=MNIST_EXPERIMENT).train_config(seed=0)
+        assert (digits.model_kind, digits.learning_rate, digits.epochs,
+                digits.batch_size) == ("convnet", 0.001, 6, 64)
+        with pytest.raises(ConfigurationError, match="epochs must be >= 1"):
+            RunConfig(experiment=MNIST_EXPERIMENT, epochs=0)
+
 
 class TestConvergenceStudy:
     def test_single_cell_report(self):
@@ -91,7 +103,7 @@ class TestMnistStudy:
         config, report = small_study
         assert not report.errors
         assert len(report.metric_table) == 4
-        schemes = {row.scheme for row in report.metric_table.rows}
+        schemes = {row["scheme"] for row in report.metric_table}
         assert schemes == {"random_few", "biased_few"}
         assert set(report.violins) == schemes
         assert "discretization_paired" in report.tests
@@ -104,7 +116,7 @@ class TestMnistStudy:
         _, report = small_study
         for name in ("bce_val", "accuracy_val", "abs_teb_full",
                      "abs_teb_full_discretized"):
-            col = report.metric_table.column(name)
+            col = [row[name] for row in report.metric_table]
             assert np.isfinite(col).all()
 
     def test_parallel_and_order_invariance(self, digit_archive_paths,
@@ -117,7 +129,7 @@ class TestMnistStudy:
                            mnist_images=images, mnist_labels=labels,
                            epochs=1)
         report = run_mnist_bias_study(config, workers=2)
-        assert report.metric_table.rows == base.metric_table.rows
+        assert report.metric_table == base.metric_table
         assert report.runs == base.runs
 
     def test_infeasible_scheme_recorded_not_fatal(self, digit_archive_paths):
@@ -144,9 +156,9 @@ def test_all_runs_failed_still_emits_an_empty_table(tmp_path,
                        mnist_labels=labels, epochs=1)
     report = run_mnist_bias_study(config, workers=1)
     assert [e["error"] for e in report.errors] == ["SamplingError"]
-    assert len(report.metric_table) == 0
-    doc = json.loads(emit_report(report, tmp_path, formats=("json",))[0]
-                     .read_text())
+    assert report.metric_table == []
+    emit_report(report, tmp_path)
+    doc = json.loads((tmp_path / "report.json").read_text())
     assert doc["metric_table"] == []
     assert doc["violins"] == {}
     assert "workers" not in doc["config"] and "output_dir" not in doc["config"]
@@ -170,8 +182,8 @@ class TestEmission:
         report = harness.ExperimentReport(
             experiment=CONVERGENCE_EXPERIMENT, config={}, config_hash="x",
             tool_version="0")
-        paths = emit_report(report, tmp_path, formats=("json",))
-        doc = json.loads(paths[0].read_text())
+        assert emit_report(report, tmp_path) == [tmp_path / "report.json"]
+        doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["runs"] == []
         assert doc["config_hash"] == "x"
 
@@ -189,19 +201,38 @@ class TestEmission:
                            schemes=("random_few",), mnist_images=images,
                            mnist_labels=labels, epochs=1)
         report = run_mnist_bias_study(config, workers=1)
-        paths = emit_report(report, tmp_path, formats=("csv_bundle",))
-        metrics_path = next(p for p in paths if p.name == "metrics.csv")
-        lines = metrics_path.read_text().splitlines()
+        emit_report(report, tmp_path)
+        lines = (tmp_path / "metrics.csv").read_text().splitlines()
         assert lines[0] == f"# config_hash={report.config_hash}"
         (record,) = csv.DictReader(lines[1:])
-        (row,) = report.metric_table.rows
+        (row,) = report.metric_table
         assert (int(record["seed"]), record["scheme"]) == (0, "random_few")
-        for name in metrics.METRIC_COLUMNS:
-            assert float(record[name]) == getattr(row, name)
+        for name in harness.METRIC_COLUMNS:
+            assert float(record[name]) == row[name]
 
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="format"):
-            emit_report(self.make_report(), tmp_path, formats=("xml",))
+    def test_digit_bundle_has_one_line_ending_and_empty_nan_cells(
+            self, tmp_path):
+        rng = np.random.default_rng(16)
+        runs = [{"scheme": "random_few", "seed": seed,
+                 **dict(zip(harness.METRIC_COLUMNS, rng.random(8).tolist())),
+                 "bce_val": 0.5,   # constant, so its correlations are NaN
+                 "terb_full": 0.1 * seed, "terb_full_discretized": 0.2}
+                for seed in range(4)]
+        report = harness.ExperimentReport(
+            experiment=MNIST_EXPERIMENT, config={}, config_hash="x",
+            tool_version="0", runs=runs)
+        report.correlations["all"] = metrics.spearman_matrix(
+            {name: [run[name] for run in runs]
+             for name in harness.METRIC_COLUMNS})
+        paths = emit_report(report, tmp_path)
+        assert [p.name for p in paths] == [
+            "report.json", "metrics.csv", "runs.csv", "violins.csv",
+            "correlations_all.csv"]
+        for path in paths:
+            assert b"\r" not in path.read_bytes(), path.name
+        lines = (tmp_path / "correlations_all.csv").read_text().splitlines()
+        assert lines[1] == "metric," + ",".join(harness.METRIC_COLUMNS)
+        assert lines[2] == "bce_val,1.0" + "," * 7
 
 
 class TestWorkerResolution:

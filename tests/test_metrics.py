@@ -1,4 +1,3 @@
-import csv
 import math
 from fractions import Fraction
 
@@ -9,7 +8,7 @@ from scipy import stats
 
 import rctbias as rb
 from rctbias import (ConfigurationError, DomainError, EstimationError,
-                     MetricRow, MetricTable, empirical_ad, frechet_distance,
+                     empirical_ad, frechet_distance,
                      paired_discretization_test, spearman, spearman_matrix,
                      t_test, teb_report, two_sample_t_test)
 from rctbias import metrics as metrics_mod
@@ -216,21 +215,10 @@ class TestTTest:
         assert res.df == ref.df
 
 
-def make_table(soft, hard):
-    rows = []
-    for i, (s, h) in enumerate(zip(soft, hard)):
-        rows.append(MetricRow(seed=i, scheme="random_few", model_kind="m",
-                              bce_val=0.1, accuracy_val=0.9,
-                              balanced_accuracy_val=0.9, abs_teb_val=s,
-                              accuracy_full=0.9, balanced_accuracy_full=0.9,
-                              abs_teb_full=s, abs_teb_full_discretized=h))
-    return MetricTable(rows)
-
-
 class TestPairedDiscretizationTest:
     def test_identical_columns_are_neutral(self):
         values = np.linspace(0.01, 0.2, 20)
-        res = paired_discretization_test(make_table(values, values))
+        res = paired_discretization_test(values, values)
         assert not res.degenerate
         assert res.t == 0.0
         assert res.p == 0.5
@@ -238,7 +226,7 @@ class TestPairedDiscretizationTest:
 
     def test_constant_offset_is_degenerate(self):
         soft = np.linspace(0.01, 0.2, 50)
-        res = paired_discretization_test(make_table(soft, soft + 0.1))
+        res = paired_discretization_test(soft, soft + 0.1)
         assert res.degenerate
         assert res.direction == "hard worse"
 
@@ -248,13 +236,15 @@ class TestPairedDiscretizationTest:
         rng = np.random.default_rng(4)
         soft = rng.uniform(0.05, 0.3, size=100)
         hard = soft + rng.normal(0.05, 0.01, size=100)
-        res = paired_discretization_test(make_table(soft, hard))
+        res = paired_discretization_test(soft, hard)
         assert res.direction == "hard worse"
         assert res.p < 1e-6
 
     def test_requires_rows(self):
         with pytest.raises(EstimationError):
-            paired_discretization_test(make_table([0.1], [0.2]))
+            paired_discretization_test([0.1], [0.2])
+        with pytest.raises(EstimationError, match="equal-length"):
+            paired_discretization_test([0.1, 0.2, 0.3], [0.2, 0.3])
 
 
 class TestTwoSampleTTest:
@@ -310,16 +300,18 @@ class TestSpearman:
 
     def test_matrix_diagonal_and_symmetry(self):
         rng = np.random.default_rng(10)
-        table = make_table(rng.random(10), rng.random(10))
-        result = spearman_matrix(table, columns=("abs_teb_full",
-                                                 "abs_teb_full_discretized",
-                                                 "bce_val"))
-        assert np.array_equal(np.diag(result.values), np.ones(3))
-        assert np.array_equal(result.values, result.values.T, equal_nan=True)
-        # bce_val is constant in make_table: flagged, off-diagonal NaN
-        assert "bce_val" in result.undefined
-        assert math.isnan(result.values[0, 2])
-        assert not math.isnan(result.values[0, 1])
+        result = spearman_matrix({"abs_teb_full": rng.random(10),
+                                  "abs_teb_full_discretized": rng.random(10),
+                                  "bce_val": np.full(10, 0.1)})
+        assert result["columns"] == ["abs_teb_full",
+                                     "abs_teb_full_discretized", "bce_val"]
+        matrix = np.array(result["matrix"])
+        assert np.array_equal(np.diag(matrix), np.ones(3))
+        assert np.array_equal(matrix, matrix.T, equal_nan=True)
+        # a constant column is flagged and has NaN off the diagonal
+        assert result["undefined"] == ["bce_val"]
+        assert math.isnan(matrix[0, 2])
+        assert not math.isnan(matrix[0, 1])
 
     @oracle
     @given(st.lists(st.tuples(values, values), min_size=3, max_size=40))
@@ -332,7 +324,11 @@ class TestSpearman:
 
     def test_requires_three_rows(self):
         with pytest.raises(EstimationError):
-            spearman_matrix(make_table([0.1, 0.2], [0.1, 0.2]))
+            spearman_matrix({"abs_teb_full": [0.1, 0.2],
+                             "abs_teb_full_discretized": [0.1, 0.2]})
+        with pytest.raises(EstimationError, match="equal-length"):
+            spearman_matrix({"abs_teb_full": [0.1, 0.2, 0.3],
+                             "abs_teb_full_discretized": [0.1, 0.2]})
 
 
 class TestFrechetDistance:
@@ -379,24 +375,3 @@ class TestFrechetDistance:
     def test_indefinite_matrix_rejected(self):
         with pytest.raises(EstimationError, match="eigenvalue"):
             metrics_mod._clamped_eigh(np.diag([1.0, -1.0]))
-
-
-class TestMetricTable:
-    def test_csv_round_trip(self, tmp_path):
-        rng = np.random.default_rng(15)
-        table = make_table(rng.random(8), rng.random(8))
-        path = tmp_path / "metrics.csv"
-        table.to_csv(path, header_comment="config_hash=abc123")
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# config_hash=abc123"
-        records = list(csv.DictReader(lines[1:]))
-        assert [int(r["seed"]) for r in records] == list(range(8))
-        assert {r["scheme"] for r in records} == {"random_few"}
-        for name in metrics_mod.METRIC_COLUMNS:
-            assert np.array_equal([float(r[name]) for r in records],
-                                  table.column(name))
-
-    def test_column_extraction(self):
-        table = make_table([0.1, 0.2], [0.3, 0.4])
-        assert np.array_equal(table.column("abs_teb_full"), [0.1, 0.2])
-        assert list(table.column("scheme")) == ["random_few", "random_few"]
