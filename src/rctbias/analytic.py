@@ -12,7 +12,6 @@ builds exactly that prediction vector on a finite dataset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,28 +44,15 @@ def analytic_discretized_ad() -> float:
     return normal_cdf(1.0 / math.sqrt(2.0)) - 0.5
 
 
-@dataclass(frozen=True)
-class BoundInput:
-    """Inputs to the worst-case bias bound.
-
-    epsilon: misclassification rate in [0, 1].
-    p_t: treatment probability in (0, 1).
-    """
-
-    epsilon: float
-    p_t: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise DomainError(f"epsilon must lie in [0, 1], got {self.epsilon}")
-        if not 0.0 < self.p_t < 1.0:
-            raise DomainError(f"p_t must lie in (0, 1), got {self.p_t}")
-
-
-def teb_upper_bound(inp: BoundInput) -> float:
-    """Worst-case |treatment effect bias| of a hard predictor with accuracy
-    1 - epsilon: epsilon / min(p_t, 1 - p_t). Always >= 2 * epsilon."""
-    return inp.epsilon / min(inp.p_t, 1.0 - inp.p_t)
+def teb_upper_bound(epsilon: float, p_t: float) -> float:
+    """Worst-case |treatment effect bias| of a hard predictor with
+    misclassification rate epsilon in [0, 1] under treatment probability
+    p_t in (0, 1): epsilon / min(p_t, 1 - p_t). Always >= 2 * epsilon."""
+    if not 0.0 <= epsilon <= 1.0:
+        raise DomainError(f"epsilon must lie in [0, 1], got {epsilon}")
+    if not 0.0 < p_t < 1.0:
+        raise DomainError(f"p_t must lie in (0, 1), got {p_t}")
+    return epsilon / min(p_t, 1.0 - p_t)
 
 
 def worst_case_predictor(dataset: Dataset, epsilon: float,

@@ -2,14 +2,16 @@
 
 Subcommands: ``simulate`` (scalar-RCT convergence study), ``mnist-gen``
 (colored-digit dataset generation only), ``experiment`` (colored-digit
-sampling-bias study) and ``report`` (re-render a stored report).
+sampling-bias study) and ``report`` (re-render a stored report). The two
+studies run through ``harness.run_study``.
 
 Each option is declared once, as a row of OPTIONS, which makes both its
 ``--flag`` and its key in the ``key=value`` file that ``--config FILE``
 names; a file key that its subcommand does not take is rejected. A value
 comes from the flag, else the file, else the row's default (an empty value
 counts as not given), and is parsed after that choice. A study option left
-unset is not passed to ``harness.RunConfig``, so its default applies there.
+unset is not passed to ``harness.RunConfig``, nor an unset ``workers`` to
+``harness.run_study``, so their defaults apply there.
 
 Exit codes: 0 on full success, 3 when a sweep finished with recorded
 per-run failures, 1 on any bad input or other error; a JSON summary goes
@@ -19,6 +21,7 @@ to stderr on any nonzero exit. ``--help`` and ``--version`` exit 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -67,8 +70,7 @@ OPTIONS = tuple(Option(*row) for row in (
     ("batch_size", STUDIES, int, None, "training mini-batch size"),
     ("threshold", STUDIES, float, None, "discretization threshold"),
     ("validation_size", (EXP,), int, None, "held-out validation units"),
-    ("workers", STUDIES, int, None,
-     "process pool size (default: RCTBIAS_WORKERS, else 1)"),
+    ("workers", STUDIES, int, None, "process pool size (default 1)"),
     ("input", (REP,), str, REQUIRED, "path to a stored report.json"),
 ))
 # option names that differ from their RunConfig field
@@ -138,14 +140,15 @@ def _resolve(args: argparse.Namespace) -> dict:
     return values
 
 
-def _run_study(experiment: str, study, values: dict) -> int:
-    out, workers = values.pop("out"), values.pop("workers", None)
+def _run_study(experiment: str, values: dict) -> int:
+    out = values.pop("out")
+    pool = {"workers": values.pop("workers")} if "workers" in values else {}
     seeds = tuple(range(values.pop("seeds")))
     seeds = values.pop("seed_list", seeds)
     config = harness.RunConfig(
         experiment=experiment, seeds=seeds,
         **{_FIELDS.get(name, name): value for name, value in values.items()})
-    report = study(config, workers)
+    report = harness.run_study(config, **pool)
     _print_written(harness.emit_report(report, out))
     print(f"runs: {len(report.runs)} ok, {len(report.errors)} failed "
           f"(config_hash={report.config_hash})")
@@ -155,16 +158,6 @@ def _run_study(experiment: str, study, values: dict) -> int:
         sys.stderr.write("\n")
         return 3
     return 0
-
-
-def _cmd_simulate(values: dict) -> int:
-    return _run_study(harness.CONVERGENCE_EXPERIMENT,
-                      harness.run_convergence_study, values)
-
-
-def _cmd_experiment(values: dict) -> int:
-    return _run_study(harness.MNIST_EXPERIMENT, harness.run_mnist_bias_study,
-                      values)
 
 
 def _cmd_mnist_gen(values: dict) -> int:
@@ -190,9 +183,11 @@ def _print_written(paths) -> None:
 
 
 COMMANDS = {
-    SIM: ("scalar-RCT discretization convergence study", _cmd_simulate),
+    SIM: ("scalar-RCT discretization convergence study",
+          functools.partial(_run_study, harness.CONVERGENCE_EXPERIMENT)),
     GEN: ("generate a colored-digit dataset", _cmd_mnist_gen),
-    EXP: ("colored-digit sampling-bias study", _cmd_experiment),
+    EXP: ("colored-digit sampling-bias study",
+          functools.partial(_run_study, harness.MNIST_EXPERIMENT)),
     REP: ("re-render a stored report", _cmd_report),
 }
 

@@ -15,10 +15,10 @@ Two studies are wired up:
 Each run derives independent sub-seeds (generation, annotation,
 validation, training) from its run seed through a SeedSequence, so no two
 stages share a random stream. Runs are pure given their task description.
-Both studies execute through one sweep (``_sweep``): in-process with one
-worker, otherwise on a bounded process pool sized by ``workers`` or
-RCTBIAS_WORKERS. Tasks are ordered by their identity keys, so reports do
-not depend on scheduling or on the worker count. A run that raises, or
+``run_study`` runs the study its RunConfig names through one sweep
+(``_sweep``): in-process with one worker, otherwise on a process pool of
+``workers`` processes. Tasks are ordered by their identity keys, so reports
+do not depend on scheduling or on the worker count. A run that raises, or
 whose pool worker dies, is recorded as a structured error entry without
 aborting the sweep.
 
@@ -34,7 +34,6 @@ import functools
 import hashlib
 import json
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -45,8 +44,6 @@ import numpy as np
 from . import analytic, annotation, metrics, mnist, models, scm
 from ._version import __version__
 from .errors import ConfigurationError
-
-WORKERS_ENV_VAR = "RCTBIAS_WORKERS"
 
 # annotation schemes of the colored-digit study: name -> (kind, n_s);
 # biased schemes restrict annotation to black-pen images (setting slot == 0)
@@ -107,6 +104,12 @@ class RunConfig:
             raise ConfigurationError("seed list must be nonempty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigurationError("seed list must be duplicate-free")
+        if min(self.seeds) < 0:
+            raise ConfigurationError(
+                f"seeds must be >= 0, got {min(self.seeds)}")
+        if not 0.0 < self.threshold < 1.0:
+            raise ConfigurationError("threshold must satisfy 0 < threshold "
+                                     f"< 1, got {self.threshold}")
         for scheme in self.schemes:
             if scheme not in MNIST_SCHEMES:
                 raise ConfigurationError(
@@ -118,6 +121,9 @@ class RunConfig:
             for n in self.sample_sizes:
                 scm.ScmConfig(p_t=self.p_t, sigma2_y=self.sigma2_y, n=n)
         else:
+            if not self.mnist_images or not self.mnist_labels:
+                raise ConfigurationError("the colored-digit study requires "
+                                         "mnist_images and mnist_labels paths")
             mnist.build_population(self.digit_threshold)
             if self.validation_size is not None and self.validation_size < 1:
                 raise ConfigurationError(
@@ -182,26 +188,6 @@ def config_hash(config: RunConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def resolve_workers(workers: Optional[int] = None) -> int:
-    """The pool size: ``workers`` if given, else RCTBIAS_WORKERS, else 1."""
-    if workers is not None:
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        return workers
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if not env:
-        return 1
-    try:
-        workers = int(env)
-    except ValueError:
-        raise ConfigurationError(
-            f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
-    if workers < 1:
-        raise ConfigurationError(
-            f"{WORKERS_ENV_VAR} must be >= 1, got {env!r}")
-    return workers
-
-
 def _outcomes(run, tasks, workers, initializer, initargs):
     """(task, call returning the task's result) pairs in task order; the
     call raises what the run raised, or why its pool worker failed."""
@@ -261,7 +247,7 @@ def _convergence_cell(task: dict) -> dict:
     report = metrics.teb_report(
         scores, dataset.y, dataset.t,
         reference_ate=analytic.analytic_ad(config.sigma2_y),
-        provenance="analytic", threshold=config.threshold)
+        threshold=config.threshold)
     quality = models.evaluate_predictions(scores, dataset.y)
     return {
         "n": n, "seed": seed,
@@ -273,23 +259,12 @@ def _convergence_cell(task: dict) -> dict:
     }
 
 
-def run_convergence_study(config: RunConfig,
-                          workers: Optional[int] = None) -> ExperimentReport:
-    """Monte Carlo over (sample size, seed): how the empirical associational
-    differences of a logistic scorer and its thresholded version converge to
-    their (distinct) analytic limits."""
-    workers = resolve_workers(workers)
-    report = ExperimentReport(
-        experiment=CONVERGENCE_EXPERIMENT, config=asdict(config),
-        config_hash=config_hash(config), tool_version=__version__)
+def _aggregate_convergence(report: ExperimentReport,
+                           config: RunConfig) -> None:
     ad_soft = analytic.analytic_ad(config.sigma2_y)
     ad_hard = analytic.analytic_discretized_ad()
     report.aggregates["references"] = {
         "analytic_ad": ad_soft, "analytic_discretized_ad": ad_hard}
-    tasks = [{"n": int(n), "seed": seed, "config": config}
-             for n in config.sample_sizes for seed in config.seeds]
-    report.runs, report.errors = _sweep(_convergence_cell, tasks,
-                                        ("n", "seed"), workers)
     per_n = {}
     for n in sorted({r["n"] for r in report.runs}):
         cells = [r for r in report.runs if r["n"] == n]
@@ -307,7 +282,6 @@ def run_convergence_study(config: RunConfig,
             "abs_dev_hard_from_true_ad": float(np.abs(hard - ad_soft).mean()),
         }
     report.aggregates["per_n"] = per_n
-    return report
 
 
 # --------------------------------------------------------------------------
@@ -347,12 +321,10 @@ def _mnist_run(task: dict) -> dict:
     val_quality = models.evaluate_predictions(val_scores, val_y)
     val_teb = metrics.teb_report(val_scores, val_y, val_t,
                                  reference_ate=spec.ate,
-                                 provenance="designed",
                                  threshold=config.threshold)
     full_quality = models.evaluate_predictions(scores, dataset.y)
     full_teb = metrics.teb_report(scores, dataset.y, dataset.t,
                                   reference_ate=spec.ate,
-                                  provenance="designed",
                                   threshold=config.threshold)
     return {
         "scheme": scheme_name, "seed": seed,
@@ -372,30 +344,6 @@ def _mnist_run(task: dict) -> dict:
         "designed_ate": spec.ate,
         "final_train_loss": predictor.loss_trace[-1],
     }
-
-
-def run_mnist_bias_study(config: RunConfig,
-                         workers: Optional[int] = None) -> ExperimentReport:
-    """Sweep annotation schemes and seeds on the colored-digit benchmark,
-    then test for sampling bias, discretization bias, and the relative
-    merit of the evaluation metrics for model selection."""
-    workers = resolve_workers(workers)
-    if not config.mnist_images or not config.mnist_labels:
-        raise ConfigurationError(
-            "the colored-digit study requires mnist_images and mnist_labels paths")
-    report = ExperimentReport(
-        experiment=MNIST_EXPERIMENT, config=asdict(config),
-        config_hash=config_hash(config), tool_version=__version__)
-    tasks = [{"scheme": scheme, "seed": seed, "config": config}
-             for scheme in config.schemes for seed in config.seeds]
-
-    report.runs, report.errors = _sweep(
-        _mnist_run, tasks, ("scheme", "seed"), workers,
-        initializer=_init_mnist_worker,
-        initargs=(config.mnist_images, config.mnist_labels))
-    if report.runs:
-        _aggregate_mnist(report, config)
-    return report
 
 
 def _column(rows: list, name: str) -> np.ndarray:
@@ -463,6 +411,41 @@ def _aggregate_mnist(report: ExperimentReport, config: RunConfig) -> None:
             "spearman_balanced_accuracy_val_vs_full_absteb": metrics.spearman(
                 _column(runs, "balanced_accuracy_val"), abs_teb_full),
         }
+
+
+# --------------------------------------------------------------------------
+# the study runner
+
+def run_study(config: RunConfig, workers: int = 1) -> ExperimentReport:
+    """Run the study ``config.experiment`` names on ``workers`` processes.
+
+    The convergence study sweeps (sample size, seed) cells: how the
+    empirical associational differences of a logistic scorer and its
+    thresholded version converge to their (distinct) analytic limits. The
+    colored-digit study sweeps (annotation scheme, seed) runs, then tests
+    for sampling bias, discretization bias, and the relative merit of the
+    evaluation metrics for model selection.
+    """
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    report = ExperimentReport(
+        experiment=config.experiment, config=asdict(config),
+        config_hash=config_hash(config), tool_version=__version__)
+    if config.experiment == CONVERGENCE_EXPERIMENT:
+        tasks = [{"n": int(n), "seed": seed, "config": config}
+                 for n in config.sample_sizes for seed in config.seeds]
+        report.runs, report.errors = _sweep(_convergence_cell, tasks,
+                                            ("n", "seed"), workers)
+        _aggregate_convergence(report, config)
+    else:
+        tasks = [{"scheme": scheme, "seed": seed, "config": config}
+                 for scheme in config.schemes for seed in config.seeds]
+        report.runs, report.errors = _sweep(
+            _mnist_run, tasks, ("scheme", "seed"), workers,
+            initializer=_init_mnist_worker,
+            initargs=(config.mnist_images, config.mnist_labels))
+        _aggregate_mnist(report, config)
+    return report
 
 
 # --------------------------------------------------------------------------

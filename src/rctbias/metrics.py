@@ -24,10 +24,8 @@ import numpy as np
 from scipy.special import stdtr
 from scipy.stats import rankdata
 
-from .errors import ConfigurationError, DomainError, EstimationError
+from .errors import DomainError, EstimationError
 from .models import discretize
-
-REFERENCE_PROVENANCES = ("empirical_truth", "analytic", "designed")
 
 
 def _group_means(values: np.ndarray, treatments: np.ndarray):
@@ -40,40 +38,27 @@ def _group_means(values: np.ndarray, treatments: np.ndarray):
     return treated.mean(), control.mean()
 
 
-def empirical_ad(outcomes, treatments) -> float:
-    """Difference of group sample means: mean(y | t=1) - mean(y | t=0)."""
-    outcomes = np.asarray(outcomes, dtype=np.float64)
-    treatments = np.asarray(treatments)
-    m1, m0 = _group_means(outcomes, treatments)
-    return float(m1 - m0)
-
-
 @dataclass(frozen=True)
 class TebReport:
-    """Per-arm interventional biases and the derived TEB/TERB numbers, for
-    both the soft scores and their thresholded version."""
+    """The empirical associational differences (EAD) of the scores, their
+    thresholded version and the labels, and the derived TEB/TERB numbers."""
 
     ead_soft: float
     ead_hard: float
     ead_truth: float
-    bias_treated: float
-    bias_control: float
     teb_soft: float
     teb_hard: float
     terb_soft: Optional[float]
     terb_hard: Optional[float]
-    reference_ate: float
-    reference_provenance: str
 
 
 def teb_report(scores, labels, treatments, reference_ate: Optional[float] = None,
-               provenance: Optional[str] = None,
                threshold: float = 0.5) -> TebReport:
     """Full treatment-effect-bias report for a score vector.
 
     When no reference ATE is supplied, the empirical truth (the
-    associational difference of the labels) is used and tagged as such.
-    TERB fields are None (undefined) when the reference ATE is zero.
+    associational difference of the labels) is used. TERB fields are None
+    (undefined) when the reference ATE is zero.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
@@ -88,24 +73,15 @@ def teb_report(scores, labels, treatments, reference_ate: Optional[float] = None
     teb_soft = bias_treated - bias_control
     teb_hard = float((h1 - y1) - (h0 - y0))
     ead_truth = float(y1 - y0)
-
     if reference_ate is None:
-        if provenance not in (None, "empirical_truth"):
-            raise ConfigurationError(
-                f"provenance {provenance!r} requires an explicit reference_ate")
-        reference_ate, provenance = ead_truth, "empirical_truth"
-    elif provenance not in REFERENCE_PROVENANCES:
-        raise ConfigurationError(
-            f"provenance must be one of {REFERENCE_PROVENANCES}, got {provenance!r}")
+        reference_ate = ead_truth
 
     terb_soft = teb_soft / reference_ate if reference_ate != 0 else None
     terb_hard = teb_hard / reference_ate if reference_ate != 0 else None
     return TebReport(ead_soft=float(s1 - s0), ead_hard=float(h1 - h0),
-                     ead_truth=ead_truth, bias_treated=bias_treated,
-                     bias_control=bias_control, teb_soft=teb_soft,
+                     ead_truth=ead_truth, teb_soft=teb_soft,
                      teb_hard=teb_hard, terb_soft=terb_soft,
-                     terb_hard=terb_hard, reference_ate=float(reference_ate),
-                     reference_provenance=provenance)
+                     terb_hard=terb_hard)
 
 
 # --------------------------------------------------------------------------

@@ -271,10 +271,7 @@ class CausalMnistDataset:
         """View the benchmark as an RCT dataset: the background bit is the
         treatment, the pen bit fills the experimental-setting slot, images
         are the observations."""
-        provenance = {"generator": "causal_mnist", "seed": self.seed,
-                      "d": self.spec.d, "designed_ate": self.spec.ate}
-        return Dataset(w=self.p, t=self.b, x=self.images, y=self.y, s=self.s,
-                       provenance=provenance)
+        return Dataset(w=self.p, t=self.b, x=self.images, y=self.y, s=self.s)
 
     def save(self, out_dir) -> None:
         """Write the dataset directory: an IDX blob of (n, 3, H, W) planes,

@@ -62,7 +62,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -127,12 +127,11 @@ class TrainConfig:
 
 @dataclass(frozen=True, eq=False)
 class Predictor:
-    """A trained scorer: architecture descriptor, flat parameter vector,
-    the config it was trained with, and the per-epoch mean loss trace."""
+    """A trained scorer: architecture descriptor, flat parameter vector and
+    the per-epoch mean loss trace."""
 
     architecture: dict
     params: np.ndarray
-    train_config: Optional[TrainConfig] = None
     loss_trace: tuple = ()
 
     def __post_init__(self):
@@ -546,7 +545,7 @@ def train(d_s: Dataset, config: TrainConfig) -> Predictor:
                            / (np.sqrt(v_hat) + ADAM_EPS)).astype(dtype)
             trace.append(float(np.mean(epoch_losses)))
     return Predictor(architecture=arch, params=params.astype(np.float64),
-                     train_config=config, loss_trace=tuple(trace))
+                     loss_trace=tuple(trace))
 
 
 # --------------------------------------------------------------------------

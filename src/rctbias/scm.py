@@ -16,8 +16,7 @@ with distinct seeds safe to run concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -68,7 +67,7 @@ class Dataset:
     the data into the annotated pool (s=1) and the unannotated pool (s=0).
     """
 
-    def __init__(self, w, t, x, y, s, provenance: Optional[dict] = None):
+    def __init__(self, w, t, x, y, s):
         w, t, x, y, s = (np.asarray(a).view() for a in (w, t, x, y, s))
         n = len(w)
         for name, col in (("t", t), ("x", x), ("y", y), ("s", s)):
@@ -81,7 +80,6 @@ class Dataset:
                 raise ConfigurationError(
                     f"column {name} must be binary, found values {vals[:5]}")
         self.w, self.t, self.x, self.y, self.s = w, t, x, y, s
-        self.provenance = provenance if provenance is not None else {}
         for col in (self.w, self.t, self.x, self.y, self.s):
             col.setflags(write=False)
 
@@ -95,7 +93,7 @@ class Dataset:
     def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices)
         return Dataset(self.w[indices], self.t[indices], self.x[indices],
-                       self.y[indices], self.s[indices], self.provenance)
+                       self.y[indices], self.s[indices])
 
     @property
     def annotated(self) -> "Dataset":
@@ -104,8 +102,7 @@ class Dataset:
 
     def with_annotation(self, s) -> "Dataset":
         """Copy of the dataset with a replacement annotation column."""
-        return Dataset(self.w, self.t, self.x, self.y, np.asarray(s),
-                       self.provenance)
+        return Dataset(self.w, self.t, self.x, self.y, np.asarray(s))
 
 
 def _uniforms(rng: np.random.Generator, shape) -> np.ndarray:
@@ -128,7 +125,7 @@ def sample_rct(config: ScmConfig) -> Dataset:
     noise_y = np.sqrt(config.sigma2_y) * ndtri(u[3])
     y = ((x + noise_y) >= 0.0).astype(np.int8)
     s = np.ones(config.n, dtype=np.int8)
-    return Dataset(w, t, x, y, s, provenance=asdict(config))
+    return Dataset(w, t, x, y, s)
 
 
 def oracle_conditional_mean(x, sigma2_y: float):

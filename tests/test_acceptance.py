@@ -31,7 +31,7 @@ def convergence_sweep():
     config = RunConfig(experiment=CONVERGENCE_EXPERIMENT,
                        seeds=tuple(range(20)),
                        sample_sizes=(1000, 10000, 100000))
-    report = harness.run_convergence_study(config)
+    report = harness.run_study(config)
     assert not report.errors
     return report
 
@@ -47,7 +47,7 @@ def mnist_sweep(digit_archive_paths):
                        schemes=("random_few", "biased_few"),
                        mnist_images=images, mnist_labels=labels,
                        epochs=6)
-    report = harness.run_mnist_bias_study(config, workers=2)
+    report = harness.run_study(config, workers=2)
     assert not report.errors
     return report
 
@@ -217,7 +217,7 @@ def test_criterion_8_infrastructure_properties(tmp_path, digit_archive):
             rb.read_idx(bad)
 
         # byte-stable report emission
-        report = harness.run_convergence_study(RunConfig(
+        report = harness.run_study(RunConfig(
             experiment=CONVERGENCE_EXPERIMENT, seeds=(0,),
             sample_sizes=(1000,)))
         digests = []

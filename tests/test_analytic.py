@@ -5,9 +5,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from rctbias import (BoundInput, Dataset, DomainError, InfeasibleError,
-                     analytic_ad, analytic_discretized_ad, normal_cdf,
-                     teb_upper_bound, worst_case_predictor)
+from rctbias import (Dataset, DomainError, InfeasibleError, analytic_ad,
+                     analytic_discretized_ad, normal_cdf, teb_upper_bound,
+                     worst_case_predictor)
 
 
 def reference_normal_cdf(z: float) -> float:
@@ -93,27 +93,26 @@ class TestAnalyticDiscretizedAd:
 
 class TestTebUpperBound:
     def test_balanced_case(self):
-        assert teb_upper_bound(BoundInput(epsilon=0.05, p_t=0.5)) == 0.1
+        assert teb_upper_bound(0.05, 0.5) == 0.1
 
     def test_perfect_accuracy(self):
-        assert teb_upper_bound(BoundInput(epsilon=0.0, p_t=0.3)) == 0.0
+        assert teb_upper_bound(0.0, 0.3) == 0.0
 
     def test_unbalanced_case(self):
-        assert abs(teb_upper_bound(BoundInput(epsilon=0.1, p_t=0.25)) - 0.4) \
-            < 1e-15
+        assert abs(teb_upper_bound(0.1, 0.25) - 0.4) < 1e-15
 
     def test_always_at_least_twice_epsilon(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             eps = rng.uniform(0, 1)
             p_t = rng.uniform(1e-6, 1 - 1e-6)
-            assert teb_upper_bound(BoundInput(eps, p_t)) >= 2 * eps - 1e-15
+            assert teb_upper_bound(eps, p_t) >= 2 * eps - 1e-15
 
     def test_rejects_invalid_inputs(self):
         with pytest.raises(DomainError):
-            BoundInput(epsilon=-0.1, p_t=0.5)
+            teb_upper_bound(-0.1, 0.5)
         with pytest.raises(DomainError):
-            BoundInput(epsilon=0.5, p_t=1.0)
+            teb_upper_bound(0.5, 1.0)
 
 
 class TestWorstCasePredictor:
@@ -141,7 +140,7 @@ class TestWorstCasePredictor:
         preds = worst_case_predictor(toy_dataset(t, y), epsilon=0.2)
         teb = brute_force_teb(preds, y, t)
         assert abs(float(teb)) == pytest.approx(
-            teb_upper_bound(BoundInput(0.2, 0.5)), abs=1e-15)
+            teb_upper_bound(0.2, 0.5), abs=1e-15)
 
     def test_under_direction_flips_ones(self):
         t = np.array([1] * 4 + [0] * 6)

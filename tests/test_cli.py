@@ -90,6 +90,9 @@ class TestSimulate:
         (["--sizes", "0"], "n must be an integer >= 1, got 0"),
         (["--sizes", "-5"], "n must be an integer >= 1, got -5"),
         (["--p-t", "2"], "p_t must satisfy 0 < p_t < 1, got 2.0"),
+        (["--seed-list", "1,-1"], "seeds must be >= 0, got -1"),
+        (["--threshold", "2"], "0 < threshold < 1, got 2.0"),
+        (["--threshold", "0"], "0 < threshold < 1, got 0.0"),
         (["--size", "1200"], "--size"),      # flags are never abbreviated
     ])
     def test_bad_study_value_fails_before_any_run(self, tmp_path, capsys,
@@ -212,33 +215,6 @@ def test_bad_digit_study_value_fails_before_any_run(tmp_path, capsys, argv,
     assert summary["status"] == "error"
     assert named in summary["message"]
     assert not out.exists()
-
-
-def test_non_integer_worker_variable_fails(tmp_path, capsys, monkeypatch,
-                                           digit_archive_paths):
-    images, labels = digit_archive_paths
-    monkeypatch.setenv("RCTBIAS_WORKERS", "many")
-    code, _, err = run_cli([
-        "experiment", "--mnist-images", images, "--mnist-labels", labels,
-        "--seeds", "1", "--out", str(tmp_path / "exp")], capsys)
-    assert code == 1
-    summary = json.loads(err)
-    assert summary["status"] == "error"
-    assert "RCTBIAS_WORKERS" in summary["message"]
-
-
-def test_zero_worker_variable_fails(tmp_path, capsys, monkeypatch,
-                                    digit_archive_paths):
-    images, labels = digit_archive_paths
-    monkeypatch.setenv("RCTBIAS_WORKERS", "0")
-    code, _, err = run_cli([
-        "experiment", "--mnist-images", images, "--mnist-labels", labels,
-        "--seeds", "1", "--out", str(tmp_path / "exp")], capsys)
-    assert code == 1
-    summary = json.loads(err)
-    assert summary["error"] == "ConfigurationError"
-    assert "RCTBIAS_WORKERS must be >= 1" in summary["message"]
-    assert not (tmp_path / "exp").exists()
 
 
 def test_negative_workers_flag_fails(tmp_path, capsys):

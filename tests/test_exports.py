@@ -1,10 +1,15 @@
 import importlib
+import re
 import types
 from pathlib import Path
 
 import rctbias
 
-SPANS = Path(__file__).parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
+# exported for the paper claim they state, which unit tests check:
+# E[Y | X = x] of the synthetic RCT, and the accuracy-to-bias bound
+PAPER_CLAIMS = {"oracle_conditional_mean", "teb_upper_bound"}
 
 
 def test_every_exported_name_resolves_and_none_is_a_module():
@@ -30,3 +35,17 @@ def test_every_function_the_benchmark_traces_resolves():
         module = importlib.import_module(f"rctbias.{module_name}")
         assert callable(getattr(module, attr, None)), \
             f"rctbias.{module_name}.{attr}"
+
+
+def test_every_exported_name_is_used_by_a_pipeline():
+    # a use is any mention but the name's own def or class statement, in
+    # the package's modules, the benchmark or the acceptance suite
+    package = ROOT / "src" / "rctbias"
+    texts = [path.read_text() for path in
+             [*package.glob("*.py"), *(ROOT / "perfbench").iterdir(),
+              ROOT / "tests" / "test_acceptance.py"]
+             if path.is_file() and path.name != "__init__.py"]
+    unused = [name for name in rctbias.__all__
+              if not any(re.search(rf"(?<!def )(?<!class )\b{name}\b", text)
+                         for text in texts)]
+    assert set(unused) <= PAPER_CLAIMS, unused

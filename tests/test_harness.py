@@ -9,7 +9,7 @@ from rctbias import ConfigurationError
 from rctbias import harness, metrics
 from rctbias.harness import (CONVERGENCE_EXPERIMENT, MNIST_EXPERIMENT,
                              RunConfig, emit_report, report_from_json,
-                             run_convergence_study, run_mnist_bias_study)
+                             run_study)
 
 
 def file_digest(path):
@@ -39,18 +39,32 @@ class TestRunConfig:
         assert (convergence.model_kind, convergence.learning_rate,
                 convergence.epochs, convergence.batch_size,
                 convergence.seed) == ("logistic", 0.05, 10, 32, 5)
-        digits = RunConfig(experiment=MNIST_EXPERIMENT).train_config(seed=0)
+        paths = {"mnist_images": "images.idx", "mnist_labels": "labels.idx"}
+        digits = RunConfig(experiment=MNIST_EXPERIMENT,
+                           **paths).train_config(seed=0)
         assert (digits.model_kind, digits.learning_rate, digits.epochs,
                 digits.batch_size) == ("convnet", 0.001, 6, 64)
         with pytest.raises(ConfigurationError, match="epochs must be >= 1"):
-            RunConfig(experiment=MNIST_EXPERIMENT, epochs=0)
+            RunConfig(experiment=MNIST_EXPERIMENT, epochs=0, **paths)
+
+    def test_digit_study_requires_archive_paths(self):
+        with pytest.raises(ConfigurationError, match="mnist_images"):
+            RunConfig(experiment=MNIST_EXPERIMENT, mnist_images="images.idx")
+
+    def test_zero_workers_fails_before_any_run(self):
+        config = RunConfig(experiment=CONVERGENCE_EXPERIMENT,
+                           sample_sizes=(1000,))
+        with pytest.raises(ConfigurationError,
+                           match="workers must be >= 1, got 0"):
+            run_study(config, workers=0)
 
 
 class TestConvergenceStudy:
     def test_single_cell_report(self):
         config = RunConfig(experiment=CONVERGENCE_EXPERIMENT, seeds=(0,),
                            sample_sizes=(2000,))
-        report = run_convergence_study(config)
+        report = run_study(config)
+        assert report.experiment == CONVERGENCE_EXPERIMENT
         assert len(report.runs) == 1
         assert not report.errors
         agg = report.aggregates["per_n"]["2000"]
@@ -63,21 +77,21 @@ class TestConvergenceStudy:
     def test_rows_reproducible(self):
         config = RunConfig(experiment=CONVERGENCE_EXPERIMENT, seeds=(0, 1),
                            sample_sizes=(1500,))
-        a = run_convergence_study(config)
-        b = run_convergence_study(config)
+        a = run_study(config)
+        b = run_study(config)
         assert a.runs == b.runs
         assert a.config_hash == b.config_hash
 
     def test_vanishing_noise_removes_discretization_gap(self):
         config = RunConfig(experiment=CONVERGENCE_EXPERIMENT, seeds=(0,),
                            sample_sizes=(20000,), sigma2_y=1e-8)
-        cell = run_convergence_study(config).runs[0]
+        cell = run_study(config).runs[0]
         assert abs(cell["ead_soft"] - cell["ead_hard"]) < 0.01
 
     def test_aggregates_recomputable_from_runs(self):
         config = RunConfig(experiment=CONVERGENCE_EXPERIMENT, seeds=(0, 1, 2),
                            sample_sizes=(1000, 3000))
-        report = run_convergence_study(config)
+        report = run_study(config)
         for n in (1000, 3000):
             cells = [r for r in report.runs if r["n"] == n]
             agg = report.aggregates["per_n"][str(n)]
@@ -94,7 +108,7 @@ def small_study(digit_archive_paths):
     config = RunConfig(experiment=MNIST_EXPERIMENT, seeds=(0, 1),
                        schemes=("random_few", "biased_few"),
                        mnist_images=images, mnist_labels=labels, epochs=1)
-    return config, run_mnist_bias_study(config, workers=1)
+    return config, run_study(config, workers=1)
 
 
 @pytest.mark.slow
@@ -128,7 +142,7 @@ class TestMnistStudy:
                            schemes=("random_few", "biased_few"),
                            mnist_images=images, mnist_labels=labels,
                            epochs=1)
-        report = run_mnist_bias_study(config, workers=2)
+        report = run_study(config, workers=2)
         assert report.metric_table == base.metric_table
         assert report.runs == base.runs
 
@@ -140,7 +154,7 @@ class TestMnistStudy:
                            schemes=("random_few", "biased_many"),
                            mnist_images=images, mnist_labels=labels,
                            epochs=1)
-        report = run_mnist_bias_study(config, workers=1)
+        report = run_study(config, workers=1)
         assert len(report.errors) == 1
         assert report.errors[0]["scheme"] == "biased_many"
         assert report.errors[0]["error"] == "SamplingError"
@@ -154,7 +168,7 @@ def test_all_runs_failed_still_emits_an_empty_table(tmp_path,
     config = RunConfig(experiment=MNIST_EXPERIMENT, seeds=(0,),
                        schemes=("biased_many",), mnist_images=images,
                        mnist_labels=labels, epochs=1)
-    report = run_mnist_bias_study(config, workers=1)
+    report = run_study(config, workers=1)
     assert [e["error"] for e in report.errors] == ["SamplingError"]
     assert report.metric_table == []
     emit_report(report, tmp_path)
@@ -168,7 +182,7 @@ class TestEmission:
     def make_report(self):
         config = RunConfig(experiment=CONVERGENCE_EXPERIMENT, seeds=(0, 1),
                            sample_sizes=(1200,))
-        return run_convergence_study(config)
+        return run_study(config)
 
     def test_emission_is_byte_stable(self, tmp_path):
         report = self.make_report()
@@ -200,7 +214,7 @@ class TestEmission:
         config = RunConfig(experiment=MNIST_EXPERIMENT, seeds=(0,),
                            schemes=("random_few",), mnist_images=images,
                            mnist_labels=labels, epochs=1)
-        report = run_mnist_bias_study(config, workers=1)
+        report = run_study(config, workers=1)
         emit_report(report, tmp_path)
         lines = (tmp_path / "metrics.csv").read_text().splitlines()
         assert lines[0] == f"# config_hash={report.config_hash}"
@@ -234,16 +248,3 @@ class TestEmission:
         assert lines[1] == "metric," + ",".join(harness.METRIC_COLUMNS)
         assert lines[2] == "bce_val,1.0" + "," * 7
 
-
-class TestWorkerResolution:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(harness.WORKERS_ENV_VAR, "7")
-        assert harness.resolve_workers(2) == 2
-
-    def test_env_var_used(self, monkeypatch):
-        monkeypatch.setenv(harness.WORKERS_ENV_VAR, "3")
-        assert harness.resolve_workers() == 3
-
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv(harness.WORKERS_ENV_VAR, raising=False)
-        assert harness.resolve_workers() == 1

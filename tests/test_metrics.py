@@ -7,8 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
 import rctbias as rb
-from rctbias import (ConfigurationError, DomainError, EstimationError,
-                     empirical_ad, frechet_distance,
+from rctbias import (DomainError, EstimationError, frechet_distance,
                      paired_discretization_test, spearman, spearman_matrix,
                      t_test, teb_report, two_sample_t_test)
 from rctbias import metrics as metrics_mod
@@ -47,19 +46,23 @@ def exact_t_sample(t_value, n):
 
 
 class TestEmpiricalAd:
+    # a TEB report's EADs: mean(v | t=1) - mean(v | t=0) of the labels
+    # (ead_truth) and of the scores (ead_soft)
     def test_saturated(self):
-        assert empirical_ad([1, 1, 0, 0], [1, 1, 0, 0]) == 1.0
+        labels = [1, 1, 0, 0]
+        assert teb_report(labels, labels, [1, 1, 0, 0]).ead_truth == 1.0
 
     def test_identical_groups(self):
-        assert empirical_ad([0.4, 0.4, 0.4, 0.4], [1, 1, 0, 0]) == 0.0
+        report = teb_report([0.4, 0.4, 0.4, 0.4], [1, 0, 1, 0], [1, 1, 0, 0])
+        assert report.ead_soft == 0.0 and report.ead_truth == 0.0
 
     def test_hand_arithmetic(self):
-        assert empirical_ad([0.9, 0.7, 0.2, 0.4], [1, 1, 0, 0]) == \
-            pytest.approx(0.5, abs=1e-15)
+        report = teb_report([0.9, 0.7, 0.2, 0.4], [1, 0, 1, 0], [1, 1, 0, 0])
+        assert report.ead_soft == pytest.approx(0.5, abs=1e-15)
 
     def test_empty_group(self):
         with pytest.raises(EstimationError):
-            empirical_ad([1.0, 0.0], [1, 1])
+            teb_report([1.0, 0.0], [1, 0], [1, 1])
 
 
 class TestTebReport:
@@ -93,8 +96,6 @@ class TestTebReport:
             report = teb_report(scores, labels, t)
             assert report.teb_soft == pytest.approx(
                 report.ead_soft - report.ead_truth, abs=1e-12)
-            assert report.teb_soft == pytest.approx(
-                report.bias_treated - report.bias_control, abs=1e-15)
 
     def test_matches_rational_recomputation(self):
         rng = np.random.default_rng(1)
@@ -132,27 +133,24 @@ class TestTebReport:
                                            epochs=10, batch_size=256, seed=11))
         scores = rb.predict_soft(pred, ds.x)
         report = teb_report(scores, ds.y, ds.t,
-                            reference_ate=rb.analytic_ad(1.0),
-                            provenance="analytic")
+                            reference_ate=rb.analytic_ad(1.0))
         assert abs(report.teb_soft) < abs(report.teb_hard)
         assert report.teb_hard == pytest.approx(0.042, abs=0.01)
 
     def test_zero_reference_flags_terb_undefined(self):
         labels = np.array([1, 0, 1, 0])
         report = teb_report(np.array([0.9, 0.1, 0.8, 0.2]), labels,
-                            np.array([1, 1, 0, 0]), reference_ate=0.0,
-                            provenance="designed")
+                            np.array([1, 1, 0, 0]), reference_ate=0.0)
         assert report.terb_soft is None and report.terb_hard is None
 
     def test_provenance_validation(self):
-        labels = np.array([1, 0, 1, 0])
-        with pytest.raises(ConfigurationError):
-            teb_report(labels.astype(float), labels, np.array([1, 1, 0, 0]),
-                       reference_ate=0.3, provenance="guess")
-        report = teb_report(labels.astype(float), labels,
-                            np.array([1, 1, 0, 0]))
-        assert report.reference_provenance == "empirical_truth"
-        assert report.reference_ate == report.ead_truth
+        # an omitted reference ATE is the empirical truth
+        report = teb_report(np.array([0.9, 0.9, 0.2, 0.4]),
+                            np.array([1, 1, 0, 1]), np.array([1, 1, 0, 0]))
+        assert report.ead_truth == 0.5
+        assert report.terb_soft == pytest.approx(report.teb_soft / 0.5,
+                                                 abs=1e-15)
+        assert report.terb_hard == report.teb_hard / 0.5 == 1.0
 
 
 class TestTTest:
