@@ -90,10 +90,10 @@ class TestSimulate:
         (["--sizes", "0"], "n must be an integer >= 1, got 0"),
         (["--sizes", "-5"], "n must be an integer >= 1, got -5"),
         (["--p-t", "2"], "p_t must satisfy 0 < p_t < 1, got 2.0"),
+        (["--size", "1200"], "--size"),      # flags are never abbreviated
         (["--seed-list", "1,-1"], "seeds must be >= 0, got -1"),
         (["--threshold", "2"], "0 < threshold < 1, got 2.0"),
         (["--threshold", "0"], "0 < threshold < 1, got 0.0"),
-        (["--size", "1200"], "--size"),      # flags are never abbreviated
     ])
     def test_bad_study_value_fails_before_any_run(self, tmp_path, capsys,
                                                   argv, named):
