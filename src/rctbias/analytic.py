@@ -55,21 +55,17 @@ def teb_upper_bound(epsilon: float, p_t: float) -> float:
     return epsilon / min(p_t, 1.0 - p_t)
 
 
-def worst_case_predictor(dataset: Dataset, epsilon: float,
-                         direction: str = "over") -> np.ndarray:
+def worst_case_predictor(dataset: Dataset, epsilon: float) -> np.ndarray:
     """Hard predictions attaining the worst-case bias on a finite dataset.
 
-    Copies the true labels, then flips floor(epsilon * n) of them, all inside
-    the smaller treatment group and all in one direction: "over" turns 0s
-    into 1s, "under" turns 1s into 0s. Flip candidates are taken in dataset
-    order, which makes the construction deterministic. The result has
-    empirical |TEB| equal to floor(epsilon * n) / n_minority exactly.
+    Copies the true labels, then turns floor(epsilon * n) of their 0s into
+    1s, all inside the smaller treatment group. Flip candidates are taken in
+    dataset order, which makes the construction deterministic. The result
+    has empirical |TEB| equal to floor(epsilon * n) / n_minority exactly.
 
     Raises InfeasibleError when the minority group does not contain enough
     flippable labels, reporting the largest attainable epsilon.
     """
-    if direction not in ("over", "under"):
-        raise DomainError(f"direction must be 'over' or 'under', got {direction!r}")
     if not 0.0 <= epsilon <= 1.0:
         raise DomainError(f"epsilon must lie in [0, 1], got {epsilon}")
     t = np.asarray(dataset.t)
@@ -80,8 +76,7 @@ def worst_case_predictor(dataset: Dataset, epsilon: float,
     if n1 == 0 or n0 == 0:
         raise DomainError("dataset must contain both treatment groups")
     minority_t = 1 if n1 <= n0 else 0
-    source_label = 0 if direction == "over" else 1
-    eligible = np.flatnonzero((t == minority_t) & (y == source_label))
+    eligible = np.flatnonzero((t == minority_t) & (y == 0))
     # slack guards the floor against binary rounding of decimal rates
     # (0.3 * 10 is 2.999... in floats but means 3 flips)
     n_flip = int(math.floor(epsilon * n + 1e-9))
@@ -89,8 +84,8 @@ def worst_case_predictor(dataset: Dataset, epsilon: float,
         max_eps = len(eligible) / n
         raise InfeasibleError(
             f"cannot flip {n_flip} predictions: only {len(eligible)} samples "
-            f"in treatment group t={minority_t} have label {source_label}; "
+            f"in treatment group t={minority_t} have label 0; "
             f"maximum attainable epsilon is {max_eps}")
     predictions = y.astype(np.int8).copy()
-    predictions[eligible[:n_flip]] = 1 - source_label
+    predictions[eligible[:n_flip]] = 1
     return predictions

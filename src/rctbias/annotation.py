@@ -26,18 +26,14 @@ class SamplingScheme:
     """How the annotation flag is assigned.
 
     kind: "random" draws uniformly from all units; "covariate_biased" draws
-        uniformly among units whose covariate equals ``bias_value`` only.
+        uniformly among the units whose experimental setting ``w`` is 0
+        only (the black-pen images of the colored-digit benchmark).
     n_s: number of units to annotate.
-    bias_covariate: which column conditions selection ("w" for the scalar
-        RCT; image benchmarks map their setting into the same slot).
-    bias_value: covariate value eligible for annotation.
     seed: RNG seed for the selection shuffle.
     """
 
     kind: str
     n_s: int
-    bias_covariate: Optional[str] = None
-    bias_value: Optional[float] = None
     seed: int = 0
 
     def __post_init__(self):
@@ -46,18 +42,14 @@ class SamplingScheme:
                 f"kind must be one of {SCHEME_KINDS}, got {self.kind!r}")
         if not (isinstance(self.n_s, (int, np.integer)) and self.n_s > 0):
             raise ConfigurationError(f"n_s must be a positive integer, got {self.n_s}")
-        if self.kind == "covariate_biased" and (
-                self.bias_covariate is None or self.bias_value is None):
-            raise ConfigurationError(
-                "covariate_biased requires bias_covariate and bias_value")
 
 
 def assign_annotation(dataset: Dataset, scheme: SamplingScheme) -> Dataset:
     """Return a copy of the dataset with exactly n_s units flagged s=1.
 
     Selection is a seeded partial shuffle without replacement, over all
-    units (random scheme) or over the units carrying the eligible covariate
-    value (covariate_biased scheme). Never mutates the input; only the
+    units (random scheme) or over the units whose setting ``w`` is 0
+    (covariate_biased scheme). Never mutates the input; only the
     annotation column changes.
     """
     n = len(dataset)
@@ -68,11 +60,7 @@ def assign_annotation(dataset: Dataset, scheme: SamplingScheme) -> Dataset:
     if scheme.kind == "random":
         eligible = np.arange(n)
     else:
-        col = getattr(dataset, scheme.bias_covariate, None)
-        if col is None:
-            raise SamplingError(
-                f"dataset has no covariate column {scheme.bias_covariate!r}")
-        eligible = np.flatnonzero(np.asarray(col) == scheme.bias_value)
+        eligible = np.flatnonzero(np.asarray(dataset.w) == 0)
     if len(eligible) < scheme.n_s:
         raise SamplingError(
             f"cannot annotate {scheme.n_s} samples: only {len(eligible)} "

@@ -290,9 +290,9 @@ def _aggregate_convergence(report: ExperimentReport,
 _WORKER_ARCHIVE: Optional[mnist.MnistArchive] = None
 
 
-def _init_mnist_worker(images_path: str, labels_path: str) -> None:
+def _init_mnist_worker(archive: mnist.MnistArchive) -> None:
     global _WORKER_ARCHIVE
-    _WORKER_ARCHIVE = mnist.load_idx(images_path, labels_path)
+    _WORKER_ARCHIVE = archive
 
 
 def _mnist_run(task: dict) -> dict:
@@ -303,12 +303,8 @@ def _mnist_run(task: dict) -> dict:
     spec = mnist.build_population(config.digit_threshold)
     colored = mnist.generate(_WORKER_ARCHIVE, spec, seed=gen_seed)
     rct = colored.as_rct_dataset()
-    scheme = annotation.SamplingScheme(
-        kind=kind, n_s=n_s,
-        bias_covariate="w" if kind == "covariate_biased" else None,
-        bias_value=0 if kind == "covariate_biased" else None,
-        seed=ann_seed)
-    dataset = annotation.assign_annotation(rct, scheme)
+    dataset = annotation.assign_annotation(
+        rct, annotation.SamplingScheme(kind=kind, n_s=n_s, seed=ann_seed))
     val_idx = annotation.validation_indices(
         dataset, size=config.validation_size, seed=val_seed)
     predictor = models.train(dataset.annotated,
@@ -377,7 +373,7 @@ def _aggregate_mnist(report: ExperimentReport, config: RunConfig) -> None:
     if len(runs) >= 2:
         res = metrics.paired_discretization_test(
             _column(runs, "abs_teb_full"),
-            _column(runs, "abs_teb_full_discretized"), sides="less")
+            _column(runs, "abs_teb_full_discretized"))
         report.tests["discretization_paired"] = asdict(res)
 
     for biased, random_ in (("biased_few", "random_few"),
@@ -438,12 +434,13 @@ def run_study(config: RunConfig, workers: int = 1) -> ExperimentReport:
                                             ("n", "seed"), workers)
         _aggregate_convergence(report, config)
     else:
+        # loaded once, before any run, so a bad archive is a bad input
+        archive = mnist.load_idx(config.mnist_images, config.mnist_labels)
         tasks = [{"scheme": scheme, "seed": seed, "config": config}
                  for scheme in config.schemes for seed in config.seeds]
         report.runs, report.errors = _sweep(
             _mnist_run, tasks, ("scheme", "seed"), workers,
-            initializer=_init_mnist_worker,
-            initargs=(config.mnist_images, config.mnist_labels))
+            initializer=_init_mnist_worker, initargs=(archive,))
         _aggregate_mnist(report, config)
     return report
 

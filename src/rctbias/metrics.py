@@ -172,13 +172,12 @@ class DiscretizationTestResult:
     degenerate: bool = False
 
 
-def paired_discretization_test(soft, hard, sides: str = "less"
-                               ) -> DiscretizationTestResult:
+def paired_discretization_test(soft, hard) -> DiscretizationTestResult:
     """Test whether thresholding worsens the absolute treatment effect bias.
 
     ``soft`` and ``hard`` hold the soft and discretized |TEB| of the same
-    runs, so this is a paired t-test on the differences soft - hard, by
-    default with the one-sided alternative mean < 0 (discretization hurts).
+    runs, so this is a paired t-test on the differences soft - hard, with
+    the one-sided alternative mean < 0 (discretization hurts).
     Constant differences yield a degenerate-flagged result.
     """
     soft = np.asarray(soft, dtype=np.float64)
@@ -189,7 +188,7 @@ def paired_discretization_test(soft, hard, sides: str = "less"
             f"runs, got {len(soft)} and {len(hard)}")
     direction = ("hard worse" if soft.mean() < hard.mean()
                  else "soft worse" if soft.mean() > hard.mean() else "equal")
-    res = t_test(soft - hard, mu0=0.0, sides=sides)
+    res = t_test(soft - hard, mu0=0.0, sides="less")
     return DiscretizationTestResult(t=res.t, p=res.p, df=res.df,
                                     direction=direction,
                                     degenerate=res.degenerate)
@@ -249,7 +248,7 @@ def spearman_matrix(columns: dict) -> dict:
 EIGEN_CLAMP_REL = 1e-8   # negatives beyond -rel * max-eigenvalue are an error
 
 
-def frechet_distance(features_a, features_b, normalize: bool = False) -> float:
+def frechet_distance(features_a, features_b) -> float:
     """Frechet distance between the Gaussians fitted to two feature sets:
 
         ||mu_a - mu_b||^2 + tr(S_a + S_b - 2 (S_a S_b)^(1/2))
@@ -257,8 +256,7 @@ def frechet_distance(features_a, features_b, normalize: bool = False) -> float:
     with sample means and covariances (ddof=1). The matrix square root is
     taken by symmetric eigendecomposition of sqrt(S_a) S_b sqrt(S_a); tiny
     negative eigenvalues from numerical drift are clamped to zero, larger
-    ones raise. ``normalize`` standardizes every dimension by the pooled
-    mean and standard deviation first.
+    ones raise.
     """
     a = np.atleast_2d(np.asarray(features_a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(features_b, dtype=np.float64))
@@ -269,13 +267,6 @@ def frechet_distance(features_a, features_b, normalize: bool = False) -> float:
         raise DomainError("feature dimension must be at least 1")
     if len(a) < 2 or len(b) < 2:
         raise EstimationError("each feature set needs at least 2 rows")
-    if normalize:
-        pooled = np.concatenate([a, b], axis=0)
-        mu = pooled.mean(axis=0)
-        sd = pooled.std(axis=0, ddof=1)
-        sd[sd == 0.0] = 1.0
-        a = (a - mu) / sd
-        b = (b - mu) / sd
     mu_a, mu_b = a.mean(axis=0), b.mean(axis=0)
     cov_a = np.cov(a, rowvar=False, ddof=1).reshape(a.shape[1], a.shape[1])
     cov_b = np.cov(b, rowvar=False, ddof=1).reshape(b.shape[1], b.shape[1])

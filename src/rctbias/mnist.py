@@ -135,6 +135,15 @@ def load_idx(images_path, labels_path) -> MnistArchive:
 # --------------------------------------------------------------------------
 # designed population
 
+def _design(d: int):
+    """The exact design of threshold d: p_y = (9 - d) / 10 and the table
+    P(Y=1 | B=b, P=p) = p_y + shift * (2b - 1) over _CELLS, where the
+    background shift is 0.2 under a white pen and 0.1 under a black one."""
+    p_y = Fraction(9 - d, 10)
+    shift = {1: Fraction(2, 10), 0: Fraction(1, 10)}   # by pen bit
+    return p_y, {(b, p): p_y + shift[p] * (2 * b - 1) for b, p in _CELLS}
+
+
 @dataclass(frozen=True)
 class PopulationSpec:
     """Digit threshold, nominal outcome rate, the four-cell conditional
@@ -159,18 +168,7 @@ def build_population(d: int) -> PopulationSpec:
         raise DomainError(
             f"digit threshold must be an integer in 1..7, got {d!r} "
             "(outside that range the conditional table leaves [0, 1])")
-    p_y = Fraction(9 - d, 10)
-    table_frac = {
-        (1, 1): p_y + Fraction(2, 10),
-        (0, 1): p_y - Fraction(2, 10),
-        (1, 0): p_y + Fraction(1, 10),
-        (0, 0): p_y - Fraction(1, 10),
-    }
-    for cell, value in table_frac.items():
-        if not 0 <= value <= 1:
-            raise DomainError(
-                f"conditional P(Y=1|B={cell[0]},P={cell[1]}) = {value} "
-                "leaves [0, 1]")
+    p_y, table_frac = _design(d)
     cate_white = table_frac[(1, 1)] - table_frac[(0, 1)]
     cate_black = table_frac[(1, 0)] - table_frac[(0, 0)]
     ate = Fraction(1, 2) * cate_white + Fraction(1, 2) * cate_black
@@ -185,10 +183,7 @@ def build_population(d: int) -> PopulationSpec:
 
 def _cell_distributions(spec: PopulationSpec):
     """Cumulative P(B, P | Y=y) over _CELLS for y = 1 and y = 0."""
-    p_y = Fraction(9 - spec.d, 10)
-    shift = {1: Fraction(2, 10), 0: Fraction(1, 10)}
-    q = {(b, p): p_y + (shift[p] if b == 1 else -shift[p])
-         for (b, p) in _CELLS}
+    p_y, q = _design(spec.d)
     given_1 = [q[c] * Fraction(1, 4) / p_y for c in _CELLS]
     given_0 = [(1 - q[c]) * Fraction(1, 4) / (1 - p_y) for c in _CELLS]
     assert sum(given_1) == 1 and sum(given_0) == 1
@@ -226,28 +221,20 @@ _BLEND_TABLE = _blend_table()
 
 
 def colorize(gray: np.ndarray, b, p) -> np.ndarray:
-    """Blend a grayscale image (or a stack of them) into RGB.
+    """Blend an (n, H, W) stack of grayscale images into (n, H, W, 3)
+    channel-last RGB bytes, with per-image bit vectors ``b`` and ``p``.
 
     Per pixel with ink value v in 0..255 the output is the convex blend
     (v/255) * pen_color + (1 - v/255) * background_color, computed in
-    float32 and rounded to the nearest integer channel value. Accepts a
-    single (H, W) image with scalar bits or an (n, H, W) stack with bit
-    vectors; returns channel-last RGB bytes.
+    float32 and rounded to the nearest integer channel value.
 
     A pixel's output depends only on (b, p, v), so the blend is evaluated
     once per possible pixel and each image is a lookup into that table: no
     float copy of the stack is made.
     """
-    gray = np.asarray(gray)
-    single = gray.ndim == 2
-    if single:
-        gray = gray[None]
-        b = np.atleast_1d(b)
-        p = np.atleast_1d(p)
     b = np.asarray(b).astype(np.int8)
     p = np.asarray(p).astype(np.int8)
-    out = _BLEND_TABLE[b[:, None, None], p[:, None, None], gray]
-    return out[0] if single else out
+    return _BLEND_TABLE[b[:, None, None], p[:, None, None], np.asarray(gray)]
 
 
 class CausalMnistDataset:

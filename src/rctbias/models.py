@@ -62,7 +62,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -91,17 +90,13 @@ _M_ARENA_MAX = -8          # glibc's mallopt parameter number
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training hyperparameters.
-
-    positive_weight multiplies the positive-class loss term; "auto" derives
-    it from the class balance of the training pool as sum(1-y) / sum(y).
-    """
+    """Training hyperparameters. Training minimizes the unweighted binary
+    cross-entropy."""
 
     model_kind: str
     learning_rate: float = 0.001
     epochs: int = 6
     batch_size: int = 64
-    positive_weight: Union[float, str, None] = None
     seed: int = 0
 
     def __post_init__(self):
@@ -117,12 +112,6 @@ class TrainConfig:
                 and self.batch_size >= 1):
             raise ConfigurationError(
                 f"batch_size must be >= 1, got {self.batch_size}")
-        if self.positive_weight is not None and self.positive_weight != "auto":
-            if not (isinstance(self.positive_weight, (int, float))
-                    and self.positive_weight > 0):
-                raise ConfigurationError(
-                    "positive_weight must be a positive number, 'auto' or None, "
-                    f"got {self.positive_weight!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -475,23 +464,9 @@ def _architecture_for(config: TrainConfig, x: np.ndarray) -> dict:
             "width": int(x.shape[2]), "channels": int(x.shape[3])}
 
 
-def _resolve_positive_weight(config: TrainConfig, y: np.ndarray) -> float:
-    if config.positive_weight is None:
-        return 1.0
-    if config.positive_weight == "auto":
-        n_pos = int(y.sum())
-        n_neg = len(y) - n_pos
-        if n_pos == 0 or n_neg == 0:
-            raise TrainingError(
-                "automatic positive weighting requires both outcome classes "
-                f"in the training pool (got {n_pos} positives of {len(y)})")
-        return n_neg / n_pos
-    return float(config.positive_weight)
-
-
 def train(d_s: Dataset, config: TrainConfig) -> Predictor:
     """Fit a predictor on the given (annotated) dataset by mini-batch Adam
-    on the weighted binary cross-entropy.
+    on the binary cross-entropy.
 
     Initialization and epoch shuffling both derive from config.seed through
     independent spawned streams, and numpy's OpenBLAS runs on one thread, so
@@ -505,7 +480,6 @@ def train(d_s: Dataset, config: TrainConfig) -> Predictor:
     dtype = _compute_dtype(arch)
     x = prepare_inputs(arch, d_s.x, dtype)
     y = np.asarray(d_s.y, dtype=dtype)
-    pos_weight = _resolve_positive_weight(config, y)
 
     init_seq, shuffle_seq = np.random.SeedSequence(config.seed).spawn(2)
     params = init_params(arch, init_seq).astype(dtype)
@@ -528,12 +502,12 @@ def train(d_s: Dataset, config: TrainConfig) -> Predictor:
             for lo in range(0, n, config.batch_size):
                 sl = order[lo:lo + config.batch_size]
                 prob, cache = _forward(arch, p, x[sl], want_cache=True)
-                loss = bce(prob, y[sl], pos_weight)
+                loss = bce(prob, y[sl])
                 if not np.isfinite(loss):
                     raise TrainingError(
                         f"training diverged (non-finite loss) at epoch {epoch}")
                 epoch_losses.append(loss)
-                _backward(arch, p, cache, y[sl], pos_weight, grads)
+                _backward(arch, p, cache, y[sl], 1.0, grads)
                 step += 1
                 m *= ADAM_BETA1
                 m += (1 - ADAM_BETA1) * grad_flat

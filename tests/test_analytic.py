@@ -142,15 +142,6 @@ class TestWorstCasePredictor:
         assert abs(float(teb)) == pytest.approx(
             teb_upper_bound(0.2, 0.5), abs=1e-15)
 
-    def test_under_direction_flips_ones(self):
-        t = np.array([1] * 4 + [0] * 6)
-        y = np.array([1, 1, 0, 0, 1, 1, 1, 0, 0, 0])
-        preds = worst_case_predictor(toy_dataset(t, y), epsilon=0.2,
-                                     direction="under")
-        flipped = np.flatnonzero(preds != y)
-        assert (y[flipped] == 1).all() and (preds[flipped] == 0).all()
-        assert brute_force_teb(preds, y, t) == Fraction(-2, 4)
-
     def test_infeasible_epsilon_reports_maximum(self):
         t = np.array([1] * 3 + [0] * 7)
         y = np.array([1, 1, 0, 0, 0, 0, 0, 1, 1, 1])

@@ -23,10 +23,6 @@ class TestSamplingScheme:
         with pytest.raises(ConfigurationError, match="n_s"):
             SamplingScheme(kind="random", n_s=0)
 
-    def test_biased_scheme_requires_covariate_fields(self):
-        with pytest.raises(ConfigurationError, match="bias"):
-            SamplingScheme(kind="covariate_biased", n_s=10)
-
 
 class TestAssignAnnotation:
     def test_table5_few_shot_counts(self):
@@ -38,8 +34,7 @@ class TestAssignAnnotation:
 
     def test_biased_scheme_annotates_eligible_only(self):
         ds = make_dataset(60000, seed=2)
-        scheme = SamplingScheme("covariate_biased", n_s=12000,
-                                bias_covariate="w", bias_value=0, seed=3)
+        scheme = SamplingScheme("covariate_biased", n_s=12000, seed=3)
         out = assign_annotation(ds, scheme)
         assert out.n_s == 12000
         assert (out.w[out.s == 1] == 0).all()
@@ -55,8 +50,7 @@ class TestAssignAnnotation:
     def test_insufficient_eligible_reports_count(self):
         ds = make_dataset(100, seed=4)
         eligible = int((ds.w == 0).sum())
-        scheme = SamplingScheme("covariate_biased", n_s=eligible + 1,
-                                bias_covariate="w", bias_value=0, seed=0)
+        scheme = SamplingScheme("covariate_biased", n_s=eligible + 1, seed=0)
         with pytest.raises(SamplingError, match=str(eligible)):
             assign_annotation(ds, scheme)
 
@@ -87,11 +81,11 @@ class TestAssignAnnotation:
         assert abs(np.mean(shares) - population_share) < 4 * se + 1e-3
 
     def test_biased_scheme_is_degenerate(self):
-        ds = make_dataset(1000, seed=10)
+        # with three settings, only the units whose setting is 0 are eligible
+        ds = make_dataset(1000, seed=10, n_covariate_values=3)
         out = assign_annotation(ds, SamplingScheme(
-            "covariate_biased", n_s=100, bias_covariate="w", bias_value=1,
-            seed=0))
-        assert set(np.unique(out.w[out.s == 1])) == {1.0}
+            "covariate_biased", n_s=300, seed=0))
+        assert set(np.unique(out.w[out.s == 1])) == {0.0}
 
 
 class TestValidationIndices:

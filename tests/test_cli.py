@@ -217,6 +217,26 @@ def test_bad_digit_study_value_fails_before_any_run(tmp_path, capsys, argv,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("archive", ["missing", "corrupt"])
+def test_bad_digit_archive_fails_before_any_run(tmp_path, capsys, archive,
+                                                workers):
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+    if archive == "corrupt":
+        # an images header for 2 x 28 x 28 bytes, followed by only 10
+        images.write_bytes(bytes([0, 0, 8, 3, 0, 0, 0, 2, 0, 0, 0, 28,
+                                  0, 0, 0, 28]) + bytes(10))
+        labels.write_bytes(bytes([0, 0, 8, 1, 0, 0, 0, 2, 3, 7]))
+    out = tmp_path / "exp"
+    code, _, err = run_cli([
+        "experiment", "--mnist-images", str(images), "--mnist-labels",
+        str(labels), "--seeds", "2", "--epochs", "1", "--workers", workers,
+        "--out", str(out)], capsys)
+    assert code == 1
+    assert json.loads(err)["status"] == "error"
+    assert not out.exists()
+
+
 def test_negative_workers_flag_fails(tmp_path, capsys):
     code, _, err = run_cli([
         "simulate", "--sizes", "1500", "--seeds", "1", "--workers", "-3",

@@ -358,14 +358,6 @@ class TestFrechetDistance:
         assert frechet_distance(a, b) == pytest.approx(
             frechet_distance(b, a), rel=1e-9)
 
-    def test_normalization_toggle(self):
-        rng = np.random.default_rng(14)
-        a = rng.normal(size=(100, 2)) * np.array([1.0, 100.0])
-        b = a + np.array([0.0, 50.0])
-        raw = frechet_distance(a, b)
-        scaled = frechet_distance(a, b, normalize=True)
-        assert scaled < raw  # pooled standardization absorbs the wide axis
-
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             frechet_distance(np.zeros((5, 2)), np.zeros((5, 3)))

@@ -123,33 +123,33 @@ class TestDrawColors:
 
 class TestColorize:
     def test_zero_ink_shows_background(self):
-        img = np.zeros((28, 28), dtype=np.uint8)
-        green = colorize(img, b=1, p=0)
-        assert (green[0, 0] == (0, 255, 0)).all()
-        red = colorize(img, b=0, p=1)
-        assert (red[0, 0] == (255, 0, 0)).all()
+        img = np.zeros((1, 28, 28), dtype=np.uint8)
+        green = colorize(img, b=[1], p=[0])
+        assert (green[0, 0, 0] == (0, 255, 0)).all()
+        red = colorize(img, b=[0], p=[1])
+        assert (red[0, 0, 0] == (255, 0, 0)).all()
 
     def test_full_ink_shows_pen(self):
-        img = np.full((28, 28), 255, dtype=np.uint8)
-        white = colorize(img, b=0, p=1)
-        assert (white[5, 5] == (255, 255, 255)).all()
-        black = colorize(img, b=1, p=0)
-        assert (black[5, 5] == (0, 0, 0)).all()
+        img = np.full((1, 28, 28), 255, dtype=np.uint8)
+        white = colorize(img, b=[0], p=[1])
+        assert (white[0, 5, 5] == (255, 255, 255)).all()
+        black = colorize(img, b=[1], p=[0])
+        assert (black[0, 5, 5] == (0, 0, 0)).all()
 
     def test_half_ink_blend(self):
-        img = np.full((28, 28), 128, dtype=np.uint8)
-        out = colorize(img, b=0, p=0)  # black pen over red background
-        assert (out[3, 3] == (127, 0, 0)).all()
+        img = np.full((1, 28, 28), 128, dtype=np.uint8)
+        out = colorize(img, b=[0], p=[0])  # black pen over red background
+        assert (out[0, 3, 3] == (127, 0, 0)).all()
 
     def test_color_bits_recoverable(self):
         # one pure-background and one pure-ink pixel identify (b, p)
-        img = np.zeros((28, 28), dtype=np.uint8)
-        img[10, 10] = 255
+        img = np.zeros((1, 28, 28), dtype=np.uint8)
+        img[0, 10, 10] = 255
         for b in (0, 1):
             for p in (0, 1):
-                out = colorize(img, b=b, p=p)
-                bg_pixel = tuple(out[0, 0])
-                ink_pixel = tuple(out[10, 10])
+                out = colorize(img, b=[b], p=[p])
+                bg_pixel = tuple(out[0, 0, 0])
+                ink_pixel = tuple(out[0, 10, 10])
                 assert bg_pixel == ((0, 255, 0) if b else (255, 0, 0))
                 assert ink_pixel == ((255, 255, 255) if p
                                      else (0, 0, 0))

@@ -56,8 +56,6 @@ class TestTrainConfig:
             TrainConfig(model_kind="mlp", epochs=0)
         with pytest.raises(ConfigurationError):
             TrainConfig(model_kind="mlp", batch_size=0)
-        with pytest.raises(ConfigurationError):
-            TrainConfig(model_kind="mlp", positive_weight=-2.0)
 
 
 class TestGradients:
@@ -237,16 +235,6 @@ class TestTrain:
         pred = train(ds, TrainConfig("logistic", learning_rate=0.5,
                                      epochs=300, batch_size=50, seed=0))
         assert predict_soft(pred, xs).min() > 0.99
-
-    def test_single_class_with_auto_weight_errors(self):
-        ds = scalar_dataset(np.linspace(-1, 1, 20), np.ones(20))
-        with pytest.raises(TrainingError, match="positive"):
-            train(ds, TrainConfig("logistic", positive_weight="auto"))
-
-    def test_auto_weight_value(self):
-        y = np.array([1, 1, 0, 0, 0, 0])
-        config = TrainConfig("logistic", positive_weight="auto")
-        assert models._resolve_positive_weight(config, y.astype(float)) == 2.0
 
     def test_divergence_reports_epoch(self):
         ds = sample_rct(ScmConfig(0.5, 1.0, 256, seed=0))
