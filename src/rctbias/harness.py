@@ -409,6 +409,23 @@ def _aggregate_mnist(report: ExperimentReport, config: RunConfig) -> None:
         }
 
 
+def _check_validation_fits(config: RunConfig, archive_size: int) -> None:
+    """Raise ConfigurationError unless every scheme's unannotated pool (the
+    archive less the scheme's n_s) can supply the validation set, which
+    defaults to n_s. A scheme that cannot annotate n_s of the archive at
+    all has no such pool; its runs fail at annotation, as any other
+    infeasible annotation does."""
+    for scheme in config.schemes:
+        n_s = MNIST_SCHEMES[scheme][1]
+        size = n_s if config.validation_size is None \
+            else config.validation_size
+        if n_s < archive_size and size > archive_size - n_s:
+            raise ConfigurationError(
+                f"validation_size {size} exceeds the unannotated pool of "
+                f"{archive_size - n_s} images that scheme {scheme} leaves "
+                f"in an archive of {archive_size}")
+
+
 # --------------------------------------------------------------------------
 # the study runner
 
@@ -436,6 +453,7 @@ def run_study(config: RunConfig, workers: int = 1) -> ExperimentReport:
     else:
         # loaded once, before any run, so a bad archive is a bad input
         archive = mnist.load_idx(config.mnist_images, config.mnist_labels)
+        _check_validation_fits(config, len(archive))
         tasks = [{"scheme": scheme, "seed": seed, "config": config}
                  for scheme in config.schemes for seed in config.seeds]
         report.runs, report.errors = _sweep(

@@ -24,24 +24,38 @@ That equals bias and ReLU before pooling, because rounding is monotone, so
 max(a) + c == max(a + c), and ReLU commutes with max. Training and
 inference share this one forward pass.
 
-Training runs with numpy's OpenBLAS pinned to one thread. A step is a
-chain of thin GEMMs, and two BLAS threads meet at a barrier in each of
-them, so a step stalls whenever another process holds the second core.
-On a two-vCPU VM a batch-64 step took 31-36 ms (median) with two BLAS
-threads on idle cores but 57-67 ms with one core busy, against a steady
-40-45 ms on one thread either way. Pinned, the trained parameters also
-do not depend on the machine's BLAS thread count.
+Training scores each shuffled convnet mini-batch in parts: the batch is
+split by position into sub-batches of SUB_BATCH = 16 images, and a ragged
+batch ends in one shorter part. Each part runs the forward and backward
+pass on its own, with dL/dlogit divided by the length of the whole batch,
+and writes its gradient into a buffer of its own. The buffers are added in
+part order, so their sum is the batch gradient up to rounding, and its
+bits do not depend on which thread scored which part. The parts run on
+one thread pool per ``train`` call, of min(parts, usable cores) threads,
+with numpy's OpenBLAS pinned to one thread: a step is a chain of thin
+GEMMs, and two BLAS threads meet at a barrier in each of them, so a
+BLAS-threaded step stalls whenever another process holds the second core,
+while parts meet only at the sum. Trained parameters therefore depend
+neither on the core count nor on the machine's BLAS thread count. On a
+two-vCPU VM the batch-64 step of the traced ``digits_train`` benchmark
+fell from 33-38 ms as one whole batch to 23-25 ms in four parts on two
+threads. On one core, as in a pool worker, an epoch of 1,800 images took
+about as long in parts as in whole batches (medians 1-4% apart either
+way). Logistic and MLP batches are one part each, scored in series.
 
 Inference (``predict_soft``) keeps the caller's input as it is, pixel
 bytes for images, and casts one batch of PREDICT_BATCH_BYTES of input at a
 time (55 images, or 65,536 scalar units), so memory holds a float batch
-per thread rather than a float copy of the input. A thread pool scores
-the batches on the usable cores, with numpy's OpenBLAS pinned to one
-thread for the call: a batch is mostly numpy copies and small GEMMs that
-BLAS threads barely speed up, while independent batches do scale, and
-with one BLAS thread the scores do not depend on the core count. A pool
-worker process scores on one thread, since its siblings use the other
-cores. Before the first thread pool starts, glibc's malloc is limited to
+per thread rather than a float copy of the input. Convnet batches are
+scored on the usable cores as training's parts are (``_scoring_threads``),
+with numpy's OpenBLAS pinned to one thread for the call: a batch is
+mostly numpy copies and small GEMMs that BLAS threads barely speed up,
+while independent batches do scale, and with one BLAS thread the scores
+do not depend on the core count. Logistic and MLP batches are scored in
+series, since starting two threads cost more than the 3 ms that a
+100,000-unit logistic call takes. A pool worker process scores on one
+thread, since its siblings use the other cores. Before the first thread
+pool starts, glibc's malloc is limited to
 its main arena: each thread would otherwise get an arena of its own,
 which keeps the freed batch buffers while later phases allocate on top of
 them.
@@ -85,6 +99,7 @@ CONV_FC_WIDTH = 500
 PIXEL_SCALE = 1.0 / 255.0  # per-channel scaling to [0, 1]
 PIXEL_CENTER = 0.5         # subtracted from every channel after scaling
 PREDICT_BATCH_BYTES = 512 * 1024  # cast input per batch in predict_soft
+SUB_BATCH = 16             # convnet training: images per scored part
 _M_ARENA_MAX = -8          # glibc's mallopt parameter number
 
 
@@ -340,20 +355,23 @@ def _forward(arch, p, x, want_cache):
     return prob, (cols1, masks1, p1, cols2, masks2, p2, flat, a3, h3, prob)
 
 
-def _backward(arch, p, cache, y, pos_weight, grads):
+def _backward(arch, p, cache, y, pos_weight, divisor, grads):
     """Fill ``grads`` (dict of arrays shaped like the params) with the
-    gradient of the mean weighted BCE; uses dL/dlogit =
-    ((1-y) p - w y (1-p)) / batch."""
+    gradient of the weighted BCE summed over ``y`` and divided by
+    ``divisor``; uses dL/dlogit = ((1-y) p - w y (1-p)) / divisor. With
+    ``divisor == len(y)`` that is the gradient of the mean; a part of a
+    batch passes the whole batch's length, so the parts' gradients add up
+    to the batch's."""
     kind = arch["kind"]
     if kind == "logistic":
         x, prob = cache
-        dz = ((1 - y) * prob - pos_weight * y * (1 - prob)) / len(y)
+        dz = ((1 - y) * prob - pos_weight * y * (1 - prob)) / divisor
         grads["w"][...] = x.T @ dz
         grads["b"][...] = dz.sum()
         return
     if kind == "mlp":
         x, a, h, prob = cache
-        dz = ((1 - y) * prob - pos_weight * y * (1 - prob)) / len(y)
+        dz = ((1 - y) * prob - pos_weight * y * (1 - prob)) / divisor
         grads["w2"][...] = h.T @ dz
         grads["b2"][...] = dz.sum()
         dh = np.outer(dz, p["w2"]) * (a > 0)
@@ -361,8 +379,7 @@ def _backward(arch, p, cache, y, pos_weight, grads):
         grads["b1"][...] = dh.sum(axis=0)
         return
     cols1, masks1, p1, cols2, masks2, p2, flat, a3, h3, prob = cache
-    batch = len(y)
-    dz = (((1 - y) * prob - pos_weight * y * (1 - prob)) / batch).astype(
+    dz = (((1 - y) * prob - pos_weight * y * (1 - prob)) / divisor).astype(
         prob.dtype)
     grads["w4"][...] = h3.T @ dz
     grads["b4"][...] = dz.sum()
@@ -400,12 +417,12 @@ def loss_and_grad(arch: dict, params: np.ndarray, xs, y,
     grad_flat = np.zeros_like(params)
     grads = unpack_params(grad_flat, arch)
     prob, cache = _forward(arch, p, x, want_cache=True)
-    _backward(arch, p, cache, y, positive_weight, grads)
+    _backward(arch, p, cache, y, positive_weight, len(y), grads)
     return bce(prob, y, positive_weight), grad_flat
 
 
 # --------------------------------------------------------------------------
-# one BLAS thread for training and inference
+# one BLAS thread, and independent parts on the usable cores
 
 @functools.lru_cache(maxsize=None)
 def _numpy_openblas():
@@ -445,6 +462,63 @@ def _one_blas_thread():
         set_(previous)
 
 
+def _usable_cores() -> int:
+    """Cores this process may score on: one inside a pool worker process,
+    whose sibling workers occupy the others."""
+    if multiprocessing.parent_process() is not None:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@functools.lru_cache(maxsize=None)
+def _cap_malloc_arenas() -> None:
+    """Have every thread allocate from glibc's main arena. Each scoring
+    thread would otherwise get an arena of its own, which keeps the freed
+    batch buffers, and later phases allocate on top of them. A no-op where
+    the C library has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_ARENA_MAX, 1)
+
+
+@contextlib.contextmanager
+def _scoring_threads(arch: dict, parts: int):
+    """Pin numpy's OpenBLAS to one thread inside the block, and yield a
+    ``run(fn, items)`` that returns ``[fn(item) for item in items]``.
+
+    For the convnet, ``run`` spreads up to ``parts`` items over one thread
+    pool of min(parts, usable cores) threads, which lives as long as the
+    block, and runs each item under the caller's numpy float error
+    handling. Logistic and MLP items run in series: each is a few
+    milliseconds of work, less than starting the threads costs. So does
+    everything when numpy's BLAS cannot be pinned to one thread, whose own
+    threads would then compete with the pool's for the cores.
+    """
+    with _one_blas_thread() as pinned:
+        threads = 1
+        if pinned and arch["kind"] == "convnet":
+            threads = min(parts, _usable_cores())
+        if threads <= 1:
+            yield lambda fn, items: [fn(item) for item in items]
+            return
+        _cap_malloc_arenas()
+        errstate = np.geterr()  # numpy keeps one per thread
+
+        def call(fn, item):
+            with np.errstate(**errstate):
+                return fn(item)
+
+        with ThreadPoolExecutor(threads) as pool:
+            yield lambda fn, items: list(
+                pool.map(functools.partial(call, fn), items))
+
+
 # --------------------------------------------------------------------------
 # training
 
@@ -469,8 +543,10 @@ def train(d_s: Dataset, config: TrainConfig) -> Predictor:
     on the binary cross-entropy.
 
     Initialization and epoch shuffling both derive from config.seed through
-    independent spawned streams, and numpy's OpenBLAS runs on one thread, so
-    the result is reproducible bit for bit.
+    independent spawned streams. A convnet mini-batch is scored in parts of
+    SUB_BATCH images, whose gradients are added in part order, and numpy's
+    OpenBLAS runs on one thread, so the result is reproducible bit for bit
+    whatever the number of scoring threads or BLAS threads.
     Raises TrainingError on divergence (non-finite loss), reporting the
     epoch.
     """
@@ -486,28 +562,46 @@ def train(d_s: Dataset, config: TrainConfig) -> Predictor:
     shuffle_rng = np.random.Generator(np.random.Philox(shuffle_seq))
 
     p = unpack_params(params, arch)
-    grad_flat = np.zeros_like(params)
-    grads = unpack_params(grad_flat, arch)
+    n = len(y)
+    sub = SUB_BATCH if arch["kind"] == "convnet" else config.batch_size
+    # part i writes its gradient into flats[i]; part 0's is the step's
+    flats = [np.zeros_like(params)
+             for _ in range(math.ceil(min(config.batch_size, n) / sub))]
+    grad_flat = flats[0]
+    part_grads = [unpack_params(flat, arch) for flat in flats]
     m = np.zeros_like(params)
     v = np.zeros_like(params)
     step = 0
-    n = len(y)
     trace = []
+
+    def score_part(task):
+        i, rows, batch = task
+        prob, cache = _forward(arch, p, x[rows], want_cache=True)
+        _backward(arch, p, cache, y[rows], 1.0, batch, part_grads[i])
+        return prob
+
     # divergence is detected through the loss; silence the float warnings
     # the overflowing intermediates would otherwise spray
-    with np.errstate(over="ignore", invalid="ignore"), _one_blas_thread():
+    with np.errstate(over="ignore", invalid="ignore"), \
+            _scoring_threads(arch, len(flats)) as run:
         for epoch in range(config.epochs):
             order = shuffle_rng.permutation(n)
             epoch_losses = []
             for lo in range(0, n, config.batch_size):
                 sl = order[lo:lo + config.batch_size]
-                prob, cache = _forward(arch, p, x[sl], want_cache=True)
+                if len(sl) <= sub:  # one part: every logistic and MLP batch
+                    prob = score_part((0, sl, len(sl)))
+                else:
+                    tasks = [(i, sl[j:j + sub], len(sl))
+                             for i, j in enumerate(range(0, len(sl), sub))]
+                    prob = np.concatenate(run(score_part, tasks))
+                    for flat in flats[1:len(tasks)]:
+                        grad_flat += flat
                 loss = bce(prob, y[sl])
                 if not np.isfinite(loss):
                     raise TrainingError(
                         f"training diverged (non-finite loss) at epoch {epoch}")
                 epoch_losses.append(loss)
-                _backward(arch, p, cache, y[sl], 1.0, grads)
                 step += 1
                 m *= ADAM_BETA1
                 m += (1 - ADAM_BETA1) * grad_flat
@@ -523,39 +617,14 @@ def train(d_s: Dataset, config: TrainConfig) -> Predictor:
 
 
 # --------------------------------------------------------------------------
-# inference on every usable core
-
-def _usable_cores() -> int:
-    """Cores this process may score on: one inside a pool worker process,
-    whose sibling workers occupy the others."""
-    if multiprocessing.parent_process() is not None:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-@functools.lru_cache(maxsize=None)
-def _cap_malloc_arenas() -> None:
-    """Have every thread allocate from glibc's main arena. Each inference
-    thread would otherwise get an arena of its own, which keeps the freed
-    batch buffers, and later phases allocate on top of them. A no-op where
-    the C library has no mallopt."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_ARENA_MAX, 1)
-
+# inference
 
 def predict_soft(predictor: Predictor, xs) -> np.ndarray:
     """Elementwise scores in [0, 1]; a pure function of parameters and input.
 
     The whole input's shape is checked before any batch is scored. Inputs
     are then cast to the compute dtype one batch of PREDICT_BATCH_BYTES at a
-    time, and the batches are scored on the usable cores with numpy's
+    time, and convnet batches are scored on the usable cores, with numpy's
     OpenBLAS pinned to one thread, so the scores do not depend on the core
     count.
     """
@@ -574,15 +643,8 @@ def predict_soft(predictor: Predictor, xs) -> np.ndarray:
         x = prepare_inputs(arch, xs[lo:lo + size], dtype)
         out[lo:lo + size] = _forward(arch, p, x, want_cache=False)[0]
 
-    with _one_blas_thread() as pinned:
-        threads = min(len(starts), _usable_cores()) if pinned else 1
-        if threads <= 1:
-            for lo in starts:
-                score(lo)
-        else:
-            _cap_malloc_arenas()
-            with ThreadPoolExecutor(threads) as pool:
-                list(pool.map(score, starts))
+    with _scoring_threads(arch, len(starts)) as run:
+        run(score, starts)
     return out
 
 

@@ -201,6 +201,9 @@ class TestMnistGen:
 @pytest.mark.parametrize("argv, named", [
     (["--d", "9"], "digit threshold must be an integer in 1..7, got 9"),
     (["--validation-size", "0"], "validation_size must be >= 1, got 0"),
+    (["--schemes", "random_few", "--validation-size", "100000"],
+     "validation_size 100000 exceeds the unannotated pool of 10200 images "
+     "that scheme random_few leaves in an archive of 12000"),
 ])
 def test_bad_digit_study_value_fails_before_any_run(tmp_path, capsys, argv,
                                                     named,

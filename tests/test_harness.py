@@ -58,6 +58,21 @@ class TestRunConfig:
                            match="workers must be >= 1, got 0"):
             run_study(config, workers=0)
 
+    def test_default_validation_size_must_fit_the_unannotated_pool(self):
+        # by default the validation set is as large as n_s = 1800, which a
+        # 3,000-image archive leaves only 1,200 images for; a scheme that
+        # cannot be annotated at all (n_s 12,000) is left to its runs
+        config = RunConfig(experiment=MNIST_EXPERIMENT,
+                           schemes=("biased_many", "random_few"),
+                           mnist_images="images.idx",
+                           mnist_labels="labels.idx")
+        harness._check_validation_fits(config, 3600)
+        with pytest.raises(ConfigurationError,
+                           match="validation_size 1800 exceeds the "
+                                 "unannotated pool of 1200 images that "
+                                 "scheme random_few leaves"):
+            harness._check_validation_fits(config, 3000)
+
 
 class TestConvergenceStudy:
     def test_single_cell_report(self):

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
@@ -117,6 +118,31 @@ class TestGradients:
                 rel = abs(fd - grad[i]) / max(1e-8, abs(fd), abs(grad[i]))
                 assert rel < 1e-4, (i, fd, grad[i])
 
+    def test_convnet_parts_add_up_to_the_batch_gradient(self):
+        # training scores a batch in parts of SUB_BATCH with the whole
+        # batch's length as divisor, and adds the parts in order
+        rng = np.random.default_rng(6)
+        params = models.init_params(CONV_ARCH, seed=23)
+        p = models.unpack_params(params, CONV_ARCH)
+        part = np.zeros_like(params)
+        grads = models.unpack_params(part, CONV_ARCH)
+        for batch in (64, 40, 7):
+            xs = rng.integers(0, 256, size=(batch, 28, 28, 3), dtype=np.uint8)
+            y = rng.integers(0, 2, batch).astype(np.float64)
+            _, whole = models.loss_and_grad(CONV_ARCH, params, xs, y,
+                                            dtype=np.float64)
+            x = models.prepare_inputs(CONV_ARCH, xs, np.float64)
+            total = np.zeros_like(params)
+            for lo in range(0, batch, models.SUB_BATCH):
+                rows = slice(lo, lo + models.SUB_BATCH)
+                _, cache = models._forward(CONV_ARCH, p, x[rows],
+                                           want_cache=True)
+                models._backward(CONV_ARCH, p, cache, y[rows], 1.0, batch,
+                                 grads)
+                total += part
+            error = np.linalg.norm(total - whole)
+            assert error <= 1e-12 * np.linalg.norm(whole)
+
 
 class TestConvPlan:
     def test_matches_naive_convolution(self):
@@ -183,7 +209,39 @@ class TestTrain:
         assert np.array_equal(train(rct, config).params,
                               train(rct, config).params)
 
-    def test_parameters_do_not_depend_on_the_blas_thread_count(self):
+    def test_parameters_do_not_depend_on_the_blas_thread_count(
+            self, monkeypatch):
+        blas = models._numpy_openblas()
+        if blas is None:
+            pytest.skip("numpy is not linked against its bundled OpenBLAS")
+        get, set_ = blas
+        images, labels = make_digit_images(250, seed=1)
+        colored = rb.generate(mnist.MnistArchive(images, labels),
+                              rb.build_population(3), seed=0)
+        rct = colored.as_rct_dataset()
+        # batches of 40 score in parts of 16, 16 and 8; the last batch, 10
+        config = TrainConfig("convnet", epochs=1, batch_size=40, seed=3)
+        diverging = TrainConfig("mlp", learning_rate=1e300, epochs=3,
+                                batch_size=64, seed=0)
+        before = get()
+        params = {}
+        try:
+            for threads in (1, 2):
+                set_(threads)
+                for cores in (1, 2, 3):
+                    monkeypatch.setattr(models, "_usable_cores",
+                                        lambda: cores)
+                    params[threads, cores] = train(rct, config).params
+                    assert get() == threads
+            with np.errstate(all="ignore"), pytest.raises(TrainingError):
+                train(sample_rct(ScmConfig(0.5, 1.0, 256, seed=0)), diverging)
+            assert get() == 2
+        finally:
+            set_(before)
+        for other in params.values():
+            assert np.array_equal(params[1, 1], other)
+
+    def test_divergence_inside_the_scoring_pool(self, monkeypatch):
         blas = models._numpy_openblas()
         if blas is None:
             pytest.skip("numpy is not linked against its bundled OpenBLAS")
@@ -192,22 +250,19 @@ class TestTrain:
         colored = rb.generate(mnist.MnistArchive(images, labels),
                               rb.build_population(3), seed=0)
         rct = colored.as_rct_dataset()
-        config = TrainConfig("convnet", epochs=1, seed=3)
-        diverging = TrainConfig("mlp", learning_rate=1e300, epochs=3,
-                                batch_size=64, seed=0)
+        monkeypatch.setattr(models, "_usable_cores", lambda: 2)
         before = get()
-        params = {}
+        threads = threading.active_count()
         try:
-            for threads in (1, 2):
-                set_(threads)
-                params[threads] = train(rct, config).params
-                assert get() == threads
-            with np.errstate(all="ignore"), pytest.raises(TrainingError):
-                train(sample_rct(ScmConfig(0.5, 1.0, 256, seed=0)), diverging)
+            set_(2)
+            with np.errstate(all="ignore"), \
+                    pytest.raises(TrainingError, match="at epoch 0"):
+                train(rct, TrainConfig("convnet", learning_rate=1e300,
+                                       epochs=2, seed=3))
             assert get() == 2
         finally:
             set_(before)
-        assert np.array_equal(params[1], params[2])
+        assert threading.active_count() == threads
 
     def test_heldout_accuracy_beats_floor(self):
         # Bayes accuracy of the oracle threshold rule, by quadrature:
@@ -373,6 +428,20 @@ class TestInference:
             scores[cores] = predict_soft(pred, xs)
         assert np.array_equal(scores[1], scores[2])
         assert np.array_equal(scores[1], scores[3])
+
+    def test_logistic_and_mlp_score_in_series(self, monkeypatch):
+        # their batches take less time than starting a thread pool
+        def no_pool(*args, **kwargs):
+            raise AssertionError("started a thread pool")
+
+        monkeypatch.setattr(models, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(models, "_usable_cores", lambda: 2)
+        ds = sample_rct(ScmConfig(0.5, 1.0, 1000, seed=0))
+        xs = np.linspace(-3, 3, 140000)  # three batches of scalar units
+        for kind in ("logistic", "mlp"):
+            pred = train(ds, TrainConfig(kind, learning_rate=0.05, epochs=1,
+                                         batch_size=256, seed=0))
+            assert predict_soft(pred, xs).shape == xs.shape
 
     def test_pool_workers_score_on_one_thread(self):
         # sibling worker processes already occupy the other cores
