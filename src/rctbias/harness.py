@@ -100,10 +100,12 @@ class RunConfig:
             raise ConfigurationError(
                 f"experiment must be '{CONVERGENCE_EXPERIMENT}' or "
                 f"'{MNIST_EXPERIMENT}', got {self.experiment!r}")
-        if len(self.seeds) == 0:
-            raise ConfigurationError("seed list must be nonempty")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigurationError("seed list must be duplicate-free")
+        for name in ("seeds", "sample_sizes", "schemes"):
+            values = getattr(self, name)
+            if len(values) == 0 or len(set(values)) != len(values):
+                raise ConfigurationError(
+                    f"{name} must be a nonempty, duplicate-free list, "
+                    f"got {list(values)}")
         if min(self.seeds) < 0:
             raise ConfigurationError(
                 f"seeds must be >= 0, got {min(self.seeds)}")

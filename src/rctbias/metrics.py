@@ -222,21 +222,17 @@ def spearman_matrix(columns: dict) -> dict:
     if len(lengths) != 1 or lengths[0] < 3:
         raise EstimationError("correlation matrix requires equal-length "
                               f"columns of >= 3 rows, got lengths {lengths}")
-    ranks = {}
+    values = {}
     for name in names:
-        values = np.asarray(columns[name], dtype=np.float64)
-        if not np.isfinite(values).all():
+        values[name] = np.asarray(columns[name], dtype=np.float64)
+        if not np.isfinite(values[name]).all():
             raise EstimationError(f"column {name!r} is not fully populated")
-        ranks[name] = rankdata(values)
-    undefined = [name for name in names if ranks[name].std() == 0.0]
+    undefined = [name for name in names
+                 if (values[name] == values[name][0]).all()]
     matrix = np.eye(len(names))
     for i, ci in enumerate(names):
         for j in range(i + 1, len(names)):
-            cj = names[j]
-            if ci in undefined or cj in undefined:
-                r = math.nan
-            else:
-                r = float(np.corrcoef(ranks[ci], ranks[cj])[0, 1])
+            r = spearman(values[ci], values[names[j]])
             matrix[i, j] = matrix[j, i] = r
     return {"columns": names, "matrix": matrix.tolist(),
             "undefined": undefined}

@@ -13,17 +13,16 @@ the conditional effects of the background at 0.4 (white pen) and 0.2
 (black pen) and the average effect at 0.3.
 
 The nominal p_y assumes uniformly distributed digits; real archives
-deviate slightly, so the empirical outcome rate is logged next to the
-nominal one at generation time. Color draws use one uniform per image
-from a counter-based Philox stream keyed by the dataset seed (draw i is a
-pure function of the seed and the image index), so generation is
-reproducible regardless of scheduling.
+deviate slightly, so a generated dataset's outcome rate is close to p_y
+but rarely equal to it. Color draws use one uniform per image from a
+counter-based Philox stream keyed by the dataset seed (draw i is a pure
+function of the seed and the image index), so generation is reproducible
+regardless of scheduling.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,8 +32,6 @@ import numpy as np
 
 from .errors import DomainError, IdxFormatError
 from .scm import Dataset
-
-logger = logging.getLogger(__name__)
 
 IDX_DTYPE_UBYTE = 0x08
 IMAGES_MAGIC = 0x00000803
@@ -286,25 +283,6 @@ class CausalMnistDataset:
             json.dump(sidecar, fh, sort_keys=True, indent=2)
             fh.write("\n")
 
-    @classmethod
-    def load(cls, in_dir) -> "CausalMnistDataset":
-        in_dir = Path(in_dir)
-        planes = read_idx(in_dir / "images.idx")
-        if planes.ndim != 4 or planes.shape[1] != 3:
-            raise IdxFormatError(
-                f"{in_dir / 'images.idx'}: expected (n, 3, H, W) color planes, "
-                f"got shape {planes.shape}")
-        images = np.ascontiguousarray(planes.transpose(0, 2, 3, 1))
-        meta = np.genfromtxt(in_dir / "metadata.csv", delimiter=",",
-                             names=True, dtype=np.int64)
-        with open(in_dir / "spec.json") as fh:
-            sidecar = json.load(fh)
-        spec = build_population(int(sidecar["d"]))
-        return cls(images=images, digits=meta["digit"].astype(np.uint8),
-                   y=meta["y"].astype(np.int8), b=meta["b"].astype(np.int8),
-                   p=meta["p"].astype(np.int8), s=meta["s"].astype(np.int8),
-                   spec=spec, seed=int(sidecar["seed"]))
-
 
 def generate(archive: MnistArchive, spec: PopulationSpec,
              seed: int) -> CausalMnistDataset:
@@ -313,14 +291,12 @@ def generate(archive: MnistArchive, spec: PopulationSpec,
     One record per source image, in archive order: the outcome is computed
     from the digit, the color bits are drawn from the Bayes conditional,
     and the image is blended. The annotation flag starts at 1 everywhere.
+    Raises DomainError unless 0 <= seed < 2**64, the range ScmConfig allows.
     """
+    if not 0 <= seed < 2 ** 64:
+        raise DomainError(
+            f"seed must be an unsigned 64-bit integer, got {seed}")
     y = (archive.labels > spec.d).astype(np.int8)
-    empirical_rate = float(y.mean())
-    if abs(empirical_rate - spec.p_y) > 1e-12:
-        logger.info(
-            "colored-digit generation (seed=%d): empirical P(Y=1)=%.5f vs "
-            "nominal %.2f (digit frequencies deviate from uniform by %+0.5f)",
-            seed, empirical_rate, spec.p_y, empirical_rate - spec.p_y)
     b, p = draw_colors(y, spec, seed)
     images = colorize(archive.images, b, p)
     s = np.ones(len(y), dtype=np.int8)

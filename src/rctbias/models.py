@@ -36,12 +36,10 @@ with numpy's OpenBLAS pinned to one thread: a step is a chain of thin
 GEMMs, and two BLAS threads meet at a barrier in each of them, so a
 BLAS-threaded step stalls whenever another process holds the second core,
 while parts meet only at the sum. Trained parameters therefore depend
-neither on the core count nor on the machine's BLAS thread count. On a
-two-vCPU VM the batch-64 step of the traced ``digits_train`` benchmark
-fell from 33-38 ms as one whole batch to 23-25 ms in four parts on two
-threads. On one core, as in a pool worker, an epoch of 1,800 images took
-about as long in parts as in whole batches (medians 1-4% apart either
-way). Logistic and MLP batches are one part each, scored in series.
+neither on the core count nor on the machine's BLAS thread count. On one
+core, as in a pool worker, an epoch takes about as long in parts as in
+whole batches, so the parts pay off only where more cores are free.
+Logistic and MLP batches are one part each, scored in series.
 
 Inference (``predict_soft``) keeps the caller's input as it is, pixel
 bytes for images, and casts one batch of PREDICT_BATCH_BYTES of input at a
@@ -118,9 +116,10 @@ class TrainConfig:
         if self.model_kind not in MODEL_KINDS:
             raise ConfigurationError(
                 f"model_kind must be one of {MODEL_KINDS}, got {self.model_kind!r}")
-        if not self.learning_rate > 0:
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigurationError(
-                f"learning_rate must be > 0, got {self.learning_rate}")
+                f"learning_rate must be > 0, got {self.learning_rate} "
+                "(finite values only)")
         if not (isinstance(self.epochs, (int, np.integer)) and self.epochs >= 1):
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
         if not (isinstance(self.batch_size, (int, np.integer))
@@ -362,25 +361,23 @@ def _backward(arch, p, cache, y, pos_weight, divisor, grads):
     ``divisor == len(y)`` that is the gradient of the mean; a part of a
     batch passes the whole batch's length, so the parts' gradients add up
     to the batch's."""
+    prob = cache[-1]
+    dz = ((1 - y) * prob - pos_weight * y * (1 - prob)) / divisor
     kind = arch["kind"]
     if kind == "logistic":
-        x, prob = cache
-        dz = ((1 - y) * prob - pos_weight * y * (1 - prob)) / divisor
+        x, _ = cache
         grads["w"][...] = x.T @ dz
         grads["b"][...] = dz.sum()
         return
     if kind == "mlp":
-        x, a, h, prob = cache
-        dz = ((1 - y) * prob - pos_weight * y * (1 - prob)) / divisor
+        x, a, h, _ = cache
         grads["w2"][...] = h.T @ dz
         grads["b2"][...] = dz.sum()
         dh = np.outer(dz, p["w2"]) * (a > 0)
         grads["w1"][...] = x.T @ dh
         grads["b1"][...] = dh.sum(axis=0)
         return
-    cols1, masks1, p1, cols2, masks2, p2, flat, a3, h3, prob = cache
-    dz = (((1 - y) * prob - pos_weight * y * (1 - prob)) / divisor).astype(
-        prob.dtype)
+    cols1, masks1, p1, cols2, masks2, p2, flat, a3, h3, _ = cache
     grads["w4"][...] = h3.T @ dz
     grads["b4"][...] = dz.sum()
     dh3 = np.outer(dz, p["w4"]) * (a3 > 0)
@@ -523,19 +520,18 @@ def _scoring_threads(arch: dict, parts: int):
 # training
 
 def _architecture_for(config: TrainConfig, x: np.ndarray) -> dict:
-    if config.model_kind == "logistic":
-        in_dim = 1 if x.ndim == 1 else int(x.shape[1])
-        return {"kind": "logistic", "in_dim": in_dim}
-    if config.model_kind == "mlp":
-        in_dim = 1 if x.ndim == 1 else int(x.shape[1])
-        return {"kind": "mlp", "in_dim": in_dim, "hidden": MLP_HIDDEN}
-    x = np.asarray(x)
-    if x.ndim != 4:
-        raise DomainError(
-            f"convnet training requires image observations (n, H, W, C), "
-            f"got shape {x.shape}")
-    return {"kind": "convnet", "height": int(x.shape[1]),
-            "width": int(x.shape[2]), "channels": int(x.shape[3])}
+    kind = config.model_kind
+    if kind == "convnet":
+        if x.ndim != 4:
+            raise DomainError(
+                f"convnet training requires image observations (n, H, W, C), "
+                f"got shape {x.shape}")
+        return {"kind": kind, "height": int(x.shape[1]),
+                "width": int(x.shape[2]), "channels": int(x.shape[3])}
+    arch = {"kind": kind, "in_dim": 1 if x.ndim == 1 else int(x.shape[1])}
+    if kind == "mlp":
+        arch["hidden"] = MLP_HIDDEN
+    return arch
 
 
 def train(d_s: Dataset, config: TrainConfig) -> Predictor:

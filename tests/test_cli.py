@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from rctbias import cli, harness
-from rctbias.mnist import CausalMnistDataset
+from rctbias.mnist import read_idx
 
 _CONVERGENCE_CELL = harness._convergence_cell
 
@@ -94,6 +95,11 @@ class TestSimulate:
         (["--seed-list", "1,-1"], "seeds must be >= 0, got -1"),
         (["--threshold", "2"], "0 < threshold < 1, got 2.0"),
         (["--threshold", "0"], "0 < threshold < 1, got 0.0"),
+        (["--sizes", "1000,1000"], "sample_sizes must be a nonempty, "
+         "duplicate-free list, got [1000, 1000]"),
+        (["--sizes", ","], "sample_sizes must be a nonempty, duplicate-free "
+         "list, got []"),
+        (["--learning-rate", "inf"], "learning_rate must be > 0, got inf"),
     ])
     def test_bad_study_value_fails_before_any_run(self, tmp_path, capsys,
                                                   argv, named):
@@ -183,10 +189,25 @@ class TestMnistGen:
             "mnist-gen", "--d", "3", "--seed", "5", "--out", str(out),
             "--mnist-images", images, "--mnist-labels", labels], capsys)
         assert code == 0
-        dataset = CausalMnistDataset.load(out)
-        assert len(dataset) == 12000
-        assert dataset.seed == 5
+        assert read_idx(out / "images.idx").shape == (12000, 3, 28, 28)
+        with open(out / "metadata.csv", newline="") as fh:
+            assert len(list(csv.DictReader(fh))) == 12000
+        assert json.loads((out / "spec.json").read_text())["seed"] == 5
         assert "designed ATE=0.3" in stdout
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_out_of_range_fails_cleanly(self, tmp_path, capsys, seed,
+                                             digit_archive_paths):
+        images, labels = digit_archive_paths
+        out = tmp_path / "colored"
+        code, _, err = run_cli([
+            "mnist-gen", "--seed", seed, "--out", str(out),
+            "--mnist-images", images, "--mnist-labels", labels], capsys)
+        assert code == 1
+        summary = json.loads(err)
+        assert summary["status"] == "error"
+        assert f"unsigned 64-bit integer, got {seed}" in summary["message"]
+        assert not out.exists()
 
     def test_missing_archive_fails_cleanly(self, tmp_path, capsys):
         code, _, err = run_cli([
@@ -204,6 +225,10 @@ class TestMnistGen:
     (["--schemes", "random_few", "--validation-size", "100000"],
      "validation_size 100000 exceeds the unannotated pool of 10200 images "
      "that scheme random_few leaves in an archive of 12000"),
+    (["--schemes", "random_few,random_few"], "schemes must be a nonempty, "
+     "duplicate-free list, got ['random_few', 'random_few']"),
+    (["--schemes", ","], "schemes must be a nonempty, duplicate-free list, "
+     "got []"),
 ])
 def test_bad_digit_study_value_fails_before_any_run(tmp_path, capsys, argv,
                                                     named,

@@ -17,6 +17,8 @@ oracle = settings(deadline=None, derandomize=True, max_examples=150)
 SCIPY_SIDES = {"two": "two-sided", "greater": "greater", "less": "less"}
 values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 samples = st.lists(values, min_size=2, max_size=40)
+# values with many ties, some of them close together, or any value above
+tied = st.one_of(st.sampled_from([-1.0, 0.0, 1e-9, 0.25, 2.0]), values)
 
 
 def has_spread(sample):
@@ -319,6 +321,24 @@ class TestSpearman:
         assume(np.ptp(x) > 0 and np.ptp(y) > 0)
         assert spearman(x, y) == pytest.approx(
             stats.spearmanr(x, y).statistic, abs=1e-12)
+
+    @oracle
+    @given(st.lists(st.tuples(tied, tied, tied), min_size=3, max_size=40))
+    def test_matrix_matches_scipy(self, rows):
+        columns = dict(zip("abc", (np.array(column) for column in zip(*rows))))
+        result = spearman_matrix(columns)
+        matrix = np.array(result["matrix"])
+        constant = [name for name, column in columns.items()
+                    if np.ptp(column) == 0]
+        assert result["undefined"] == constant
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            x, y = "abc"[i], "abc"[j]
+            if x in constant or y in constant:
+                assert math.isnan(matrix[i, j])
+            else:
+                assert matrix[i, j] == pytest.approx(
+                    stats.spearmanr(columns[x], columns[y]).statistic,
+                    abs=1e-12)
 
     def test_requires_three_rows(self):
         with pytest.raises(EstimationError):

@@ -1,3 +1,5 @@
+import csv
+import json
 import struct
 
 import numpy as np
@@ -5,8 +7,7 @@ import pytest
 
 from rctbias import (DomainError, IdxFormatError, build_population, colorize,
                      draw_colors, generate, load_idx, read_idx, write_idx)
-from rctbias.mnist import (BACKGROUND_COLORS, PEN_COLORS, CausalMnistDataset,
-                           MnistArchive)
+from rctbias.mnist import BACKGROUND_COLORS, PEN_COLORS, MnistArchive
 
 
 class TestIdxFormat:
@@ -225,11 +226,16 @@ class TestGenerate:
         small = MnistArchive(images=digit_archive.images[:200],
                              labels=digit_archive.labels[:200])
         ds = generate(small, spec, seed=4)
-        ds.save(tmp_path / "dataset")
-        back = CausalMnistDataset.load(tmp_path / "dataset")
-        assert np.array_equal(back.images, ds.images)
-        assert np.array_equal(back.digits, ds.digits)
-        assert np.array_equal(back.b, ds.b)
-        assert np.array_equal(back.p, ds.p)
-        assert back.seed == ds.seed
-        assert back.spec.table == spec.table
+        out = tmp_path / "dataset"
+        ds.save(out)
+        planes = read_idx(out / "images.idx")
+        assert np.array_equal(planes.transpose(0, 2, 3, 1), ds.images)
+        with open(out / "metadata.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for column, values in (("digit", ds.digits), ("b", ds.b),
+                               ("p", ds.p)):
+            assert [int(row[column]) for row in rows] == values.tolist()
+        sidecar = json.loads((out / "spec.json").read_text())
+        assert sidecar["seed"] == ds.seed
+        assert sidecar["table"] == {f"b={b},p={p}": v
+                                    for (b, p), v in spec.table.items()}
