@@ -17,10 +17,11 @@ validation, training) from its run seed through a SeedSequence, so no two
 stages share a random stream. Runs are pure given their task description.
 ``run_study`` runs the study its RunConfig names through one sweep
 (``_sweep``): in-process with one worker, otherwise on a process pool of
-``workers`` processes. Tasks are ordered by their identity keys, so reports
-do not depend on scheduling or on the worker count. A run that raises, or
-whose pool worker dies, is recorded as a structured error entry without
-aborting the sweep.
+``workers`` processes, or one per task when there are fewer tasks. Tasks
+are ordered by their identity keys, so reports do not depend on
+scheduling or on the worker count. A run that raises, or whose pool
+worker dies, is recorded as a structured error entry without aborting the
+sweep.
 
 The config hash covers the experiment's identity (its RunConfig); how a
 sweep is executed (the worker count) and where it is written are not part
@@ -199,7 +200,8 @@ def _outcomes(run, tasks, workers, initializer, initargs):
         for task in tasks:
             yield task, functools.partial(run, task)
         return
-    with ProcessPoolExecutor(max_workers=workers, initializer=initializer,
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
+                             initializer=initializer,
                              initargs=initargs) as pool:
         futures = [pool.submit(run, task) for task in tasks]
         for task, future in zip(tasks, futures):

@@ -22,7 +22,6 @@ from typing import Optional
 
 import numpy as np
 from scipy.special import stdtr
-from scipy.stats import rankdata
 
 from .errors import DomainError, EstimationError
 from .models import discretize
@@ -197,6 +196,21 @@ def paired_discretization_test(soft, hard) -> DiscretizationTestResult:
 # --------------------------------------------------------------------------
 # rank correlation
 
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """1-based float64 ranks of ``a``, ties given their average rank; all
+    NaN when any value is NaN, as scipy.stats.rankdata gives by default.
+    Every rank is an integer or a half, so it is exact."""
+    if np.isnan(a).any():
+        return np.full(len(a), math.nan)
+    order = np.argsort(a, kind="stable")
+    ranked = a[order]
+    starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    ends = np.r_[starts[1:], len(a)]
+    ranks = np.empty(len(a))
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
+
+
 def spearman(x, y) -> float:
     """Spearman rank correlation of two vectors, average ranks on ties."""
     x = np.asarray(x, dtype=np.float64)
@@ -204,7 +218,7 @@ def spearman(x, y) -> float:
     if len(x) != len(y) or len(x) < 3:
         raise EstimationError(
             "rank correlation requires two equal-length vectors of >= 3 values")
-    rx, ry = rankdata(x), rankdata(y)
+    rx, ry = _average_ranks(x), _average_ranks(y)
     if rx.std() == 0.0 or ry.std() == 0.0:
         return math.nan
     return float(np.corrcoef(rx, ry)[0, 1])

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -151,6 +152,39 @@ class TestSimulate:
                 "--workers", workers, "--out", str(out)], capsys)
             assert code == 0
             reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_pool_has_no_more_processes_than_tasks(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # a stand-in pool that records its size and runs each call here,
+        # so no process starts however large --workers is
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        reports = []
+        for workers in ("1", "100000"):
+            out = tmp_path / f"workers-{workers}"
+            code, _, _ = run_cli([
+                "simulate", "--sizes", "1000,1500", "--seeds", "1",
+                "--workers", workers, "--out", str(out)], capsys)
+            assert code == 0
+            reports.append((out / "report.json").read_bytes())
+        assert sizes == [2]
         assert reports[0] == reports[1]
 
     def test_dead_worker_recorded_and_sweep_continues(self, tmp_path, capsys,

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,9 @@ values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 samples = st.lists(values, min_size=2, max_size=40)
 # values with many ties, some of them close together, or any value above
 tied = st.one_of(st.sampled_from([-1.0, 0.0, 1e-9, 0.25, 2.0]), values)
+# ties, equal signed zeros and infinities, or any value above
+rankable = st.one_of(st.sampled_from([-math.inf, -0.0, 0.0, 1e-9, 2.0,
+                                      math.inf]), values)
 
 
 def has_spread(sample):
@@ -340,6 +347,20 @@ class TestSpearman:
                     stats.spearmanr(columns[x], columns[y]).statistic,
                     abs=1e-12)
 
+    @oracle
+    @given(st.lists(rankable, min_size=1, max_size=40))
+    def test_average_ranks_match_scipy_bit_for_bit(self, sample):
+        a = np.array(sample)
+        ranks, expected = metrics_mod._average_ranks(a), stats.rankdata(a)
+        assert ranks.dtype == expected.dtype
+        assert ranks.tobytes() == expected.tobytes()
+
+    def test_any_nan_gives_nan_ranks_and_correlation(self):
+        x = np.array([0.3, math.nan, 0.1, 0.3])
+        assert np.isnan(metrics_mod._average_ranks(x)).all()
+        assert np.isnan(stats.rankdata(x)).all()
+        assert math.isnan(spearman(x, [1.0, 2.0, 3.0, 4.0]))
+
     def test_requires_three_rows(self):
         with pytest.raises(EstimationError):
             spearman_matrix({"abs_teb_full": [0.1, 0.2],
@@ -385,3 +406,14 @@ class TestFrechetDistance:
     def test_indefinite_matrix_rejected(self):
         with pytest.raises(EstimationError, match="eigenvalue"):
             metrics_mod._clamped_eigh(np.diag([1.0, -1.0]))
+
+
+def test_importing_the_program_loads_no_scipy_stats():
+    # scipy.stats alone costs about a second of every command's start-up;
+    # the tests may still use it as an oracle
+    env = {**os.environ, "PYTHONPATH": str(Path(rb.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, rctbias, rctbias.cli; "
+         "print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "False\n"
