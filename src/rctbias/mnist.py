@@ -39,6 +39,7 @@ LABELS_MAGIC = 0x00000801
 
 BACKGROUND_COLORS = {1: (0, 255, 0), 0: (255, 0, 0)}   # green / red
 PEN_COLORS = {1: (255, 255, 255), 0: (0, 0, 0)}        # white / black
+COLORIZE_CHUNK = 256  # images per table lookup in colorize
 
 # cell order used for the categorical color draw
 _CELLS = ((1, 1), (0, 1), (1, 0), (0, 0))
@@ -227,11 +228,20 @@ def colorize(gray: np.ndarray, b, p) -> np.ndarray:
 
     A pixel's output depends only on (b, p, v), so the blend is evaluated
     once per possible pixel and each image is a lookup into that table: no
-    float copy of the stack is made.
+    float copy of the stack is made. The lookup takes rows of the flat
+    (1024, 3) table at ``(b*2 + p) << 8 | v``, COLORIZE_CHUNK images at a
+    time, so the index array stays small.
     """
-    b = np.asarray(b).astype(np.int8)
-    p = np.asarray(p).astype(np.int8)
-    return _BLEND_TABLE[b[:, None, None], p[:, None, None], np.asarray(gray)]
+    gray = np.asarray(gray)
+    cell = (np.asarray(b).astype(np.intp) * 2
+            + np.asarray(p).astype(np.intp)) << 8
+    table = _BLEND_TABLE.reshape(-1, 3)
+    out = np.empty(gray.shape + (3,), dtype=np.uint8)
+    for lo in range(0, len(gray), COLORIZE_CHUNK):
+        index = gray[lo:lo + COLORIZE_CHUNK].astype(np.intp)
+        index |= cell[lo:lo + COLORIZE_CHUNK, None, None]
+        np.take(table, index, axis=0, out=out[lo:lo + COLORIZE_CHUNK])
+    return out
 
 
 class CausalMnistDataset:

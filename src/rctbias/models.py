@@ -12,6 +12,16 @@ moment constants (0.9, 0.9, 1e-8), and all randomness (initialization,
 shuffling) derives from the config seed, so identical config and data
 reproduce identical parameters bit for bit.
 
+A training step computes no loss and allocates no Adam temporaries: each
+batch writes its scores into one epoch-long buffer in shuffled order, and
+the Adam moments and two scratch vectors are allocated once per ``train``
+call and updated in place, in the operation order of the textbook formula.
+After each epoch, every batch's BCE is computed from that epoch's scores
+in one vectorized pass, equal bit for bit to ``bce`` of each batch. So a
+divergence (a non-finite loss) is reported at the end of the epoch in
+which it happened, and the rest of that epoch trains on non-finite
+parameters to no effect.
+
 Convolutions are im2col matrix products (Chellapilla, Puri & Simard 2006):
 each layer copies its 5x5 input patches into the rows of a matrix whose
 columns run in (di, dj, channel) order, so the kernel is a plain matrix
@@ -328,7 +338,10 @@ def prepare_inputs(arch: dict, xs, dtype=None) -> np.ndarray:
     if arch["kind"] in ("logistic", "mlp"):
         x = xs.astype(dtype, copy=False)
         return x[:, None] if x.ndim == 1 else x
-    return xs.astype(dtype) * dtype(PIXEL_SCALE) - dtype(PIXEL_CENTER)
+    x = xs.astype(dtype)
+    x *= dtype(PIXEL_SCALE)
+    x -= dtype(PIXEL_CENTER)
+    return x
 
 
 def _forward(arch, p, x, want_cache):
@@ -390,12 +403,30 @@ def _backward(arch, p, cache, y, pos_weight, divisor, grads):
     _conv_pool_relu_backward(dp1, p1, masks1, cols1, grads["k1"], grads["c1"])
 
 
+def _bce_terms(prob, y, pos_weight=1.0):
+    """Per-unit log-likelihood terms of the BCE, with the probabilities
+    clamped to [1e-7, 1 - 1e-7] before the logs."""
+    prob = np.clip(prob, PROB_CLIP, 1.0 - PROB_CLIP)
+    return pos_weight * y * np.log(prob) + (1 - y) * np.log1p(-prob)
+
+
 def bce(prob, y, pos_weight=1.0) -> float:
     """Mean (optionally positive-weighted) binary cross-entropy with the
     probabilities clamped to [1e-7, 1 - 1e-7] before the logs."""
-    prob = np.clip(prob, PROB_CLIP, 1.0 - PROB_CLIP)
-    terms = pos_weight * y * np.log(prob) + (1 - y) * np.log1p(-prob)
-    return float(-terms.mean())
+    return float(-_bce_terms(prob, y, pos_weight).mean())
+
+
+def _batch_losses(prob, y, batch):
+    """``bce`` of each run of ``batch`` consecutive units, the last run
+    possibly shorter, as one array of the input dtype. Each row sum is the
+    same pairwise sum that ``mean`` makes of a batch on its own, so every
+    loss equals that batch's ``bce`` bit for bit."""
+    terms = _bce_terms(prob, y)
+    full = len(terms) - len(terms) % batch
+    losses = -(terms[:full].reshape(-1, batch).sum(axis=1) / batch)
+    if full < len(terms):
+        losses = np.append(losses, -terms[full:].mean())
+    return losses
 
 
 def loss_and_grad(arch: dict, params: np.ndarray, xs, y,
@@ -543,8 +574,12 @@ def train(d_s: Dataset, config: TrainConfig) -> Predictor:
     SUB_BATCH images, whose gradients are added in part order, and numpy's
     OpenBLAS runs on one thread, so the result is reproducible bit for bit
     whatever the number of scoring threads or BLAS threads.
-    Raises TrainingError on divergence (non-finite loss), reporting the
-    epoch.
+
+    Steps compute no loss: each epoch's batch losses are computed after the
+    epoch from its scores, and their mean goes into the loss trace. Adam
+    runs in buffers allocated once per call. Raises TrainingError at the
+    end of the epoch in which the loss became non-finite (divergence),
+    reporting that epoch.
     """
     if len(d_s) == 0:
         raise TrainingError("training pool is empty")
@@ -565,16 +600,17 @@ def train(d_s: Dataset, config: TrainConfig) -> Predictor:
              for _ in range(math.ceil(min(config.batch_size, n) / sub))]
     grad_flat = flats[0]
     part_grads = [unpack_params(flat, arch) for flat in flats]
-    m = np.zeros_like(params)
-    v = np.zeros_like(params)
+    # Adam moments, and two scratch vectors for the update
+    m, v, a, b = (np.zeros_like(params) for _ in range(4))
+    prob = np.empty(n, dtype=dtype)  # the epoch's scores, in shuffled order
     step = 0
     trace = []
 
     def score_part(task):
-        i, rows, batch = task
-        prob, cache = _forward(arch, p, x[rows], want_cache=True)
-        _backward(arch, p, cache, y[rows], 1.0, batch, part_grads[i])
-        return prob
+        i, lo, hi, batch = task
+        out, cache = _forward(arch, p, x[order[lo:hi]], want_cache=True)
+        _backward(arch, p, cache, y_order[lo:hi], 1.0, batch, part_grads[i])
+        prob[lo:hi] = out
 
     # divergence is detected through the loss; silence the float warnings
     # the overflowing intermediates would otherwise spray
@@ -582,32 +618,39 @@ def train(d_s: Dataset, config: TrainConfig) -> Predictor:
             _scoring_threads(arch, len(flats)) as run:
         for epoch in range(config.epochs):
             order = shuffle_rng.permutation(n)
-            epoch_losses = []
+            y_order = y[order]
             for lo in range(0, n, config.batch_size):
-                sl = order[lo:lo + config.batch_size]
-                if len(sl) <= sub:  # one part: every logistic and MLP batch
-                    prob = score_part((0, sl, len(sl)))
+                hi = min(lo + config.batch_size, n)
+                if hi - lo <= sub:  # one part: every logistic and MLP batch
+                    score_part((0, lo, hi, hi - lo))
                 else:
-                    tasks = [(i, sl[j:j + sub], len(sl))
-                             for i, j in enumerate(range(0, len(sl), sub))]
-                    prob = np.concatenate(run(score_part, tasks))
+                    tasks = [(i, j, min(j + sub, hi), hi - lo)
+                             for i, j in enumerate(range(lo, hi, sub))]
+                    run(score_part, tasks)
                     for flat in flats[1:len(tasks)]:
                         grad_flat += flat
-                loss = bce(prob, y[sl])
-                if not np.isfinite(loss):
-                    raise TrainingError(
-                        f"training diverged (non-finite loss) at epoch {epoch}")
-                epoch_losses.append(loss)
+                # Adam in place, with the roundings of the expressions
+                # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+                # params -= lr m_hat / (sqrt(v_hat) + eps), left to right
                 step += 1
                 m *= ADAM_BETA1
-                m += (1 - ADAM_BETA1) * grad_flat
+                m += np.multiply(1 - ADAM_BETA1, grad_flat, out=a)
                 v *= ADAM_BETA2
-                v += (1 - ADAM_BETA2) * grad_flat * grad_flat
-                m_hat = m / (1 - ADAM_BETA1 ** step)
-                v_hat = v / (1 - ADAM_BETA2 ** step)
-                params -= (config.learning_rate * m_hat
-                           / (np.sqrt(v_hat) + ADAM_EPS)).astype(dtype)
-            trace.append(float(np.mean(epoch_losses)))
+                np.multiply(1 - ADAM_BETA2, grad_flat, out=a)
+                a *= grad_flat
+                v += a
+                np.divide(m, 1 - ADAM_BETA1 ** step, out=a)
+                a *= config.learning_rate
+                np.divide(v, 1 - ADAM_BETA2 ** step, out=b)
+                np.sqrt(b, out=b)
+                b += ADAM_EPS
+                a /= b
+                params -= a
+            losses = _batch_losses(prob, y_order, config.batch_size)
+            if not np.isfinite(losses).all():
+                raise TrainingError(
+                    f"training diverged (non-finite loss) at epoch {epoch}")
+            trace.append(float(losses.astype(np.float64).mean()))
     return Predictor(architecture=arch, params=params.astype(np.float64),
                      loss_trace=tuple(trace))
 

@@ -7,6 +7,7 @@ import pytest
 
 from rctbias import (DomainError, IdxFormatError, build_population, colorize,
                      draw_colors, generate, load_idx, read_idx, write_idx)
+from rctbias import mnist
 from rctbias.mnist import BACKGROUND_COLORS, PEN_COLORS, MnistArchive
 
 
@@ -182,6 +183,22 @@ class TestColorizeMatchesFloatBlend:
         out = colorize(gray, b, p)
         assert out.dtype == np.uint8 and out.shape == (300, 28, 28, 3)
         assert np.array_equal(out, float_blend(gray, b, p))
+
+
+class TestColorizeMatchesBroadcastIndex:
+    @pytest.mark.parametrize("n", [0, 4, mnist.COLORIZE_CHUNK + 5])
+    def test_every_ink_value_and_color_pair(self, n):
+        # every image holds all 256 ink values; (b, p) cycles through the
+        # four pairs, so n >= 4 covers all 1,024 table rows
+        gray = np.tile(np.arange(256, dtype=np.uint8).reshape(16, 16),
+                       (n, 1, 1))
+        gray[1::3] = gray[1::3].transpose(0, 2, 1)  # differ beyond (b, p)
+        b = (np.arange(n) // 2 % 2).astype(np.int8)
+        p = (np.arange(n) % 2).astype(np.int8)
+        want = mnist._BLEND_TABLE[b[:, None, None], p[:, None, None], gray]
+        got = colorize(gray, b, p)
+        assert got.shape == (n, 16, 16, 3) and got.dtype == np.uint8
+        assert np.array_equal(got, want)
 
 
 class TestGenerate:

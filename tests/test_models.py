@@ -47,6 +47,70 @@ def scalar_dataset(x, y):
                    y=np.asarray(y, dtype=np.int8), s=np.ones(n, dtype=np.int8))
 
 
+def per_step_train(d_s, config):
+    """``train`` as a loop that computes each step's loss and checks it for
+    divergence at once, with an Adam update that allocates at every
+    operation: the reference the one-pass epoch loss and the preallocated
+    update must match bit for bit."""
+    arch = models._architecture_for(config, np.asarray(d_s.x))
+    dtype = models._compute_dtype(arch)
+    x = models.prepare_inputs(arch, d_s.x, dtype)
+    y = np.asarray(d_s.y, dtype=dtype)
+    init_seq, shuffle_seq = np.random.SeedSequence(config.seed).spawn(2)
+    params = models.init_params(arch, init_seq).astype(dtype)
+    shuffle_rng = np.random.Generator(np.random.Philox(shuffle_seq))
+    p = models.unpack_params(params, arch)
+    n = len(y)
+    sub = models.SUB_BATCH if arch["kind"] == "convnet" else config.batch_size
+    flats = [np.zeros_like(params)
+             for _ in range(-(-min(config.batch_size, n) // sub))]
+    grad_flat = flats[0]
+    part_grads = [models.unpack_params(flat, arch) for flat in flats]
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
+    step = 0
+    trace = []
+
+    def score_part(task):
+        i, rows, batch = task
+        prob, cache = models._forward(arch, p, x[rows], want_cache=True)
+        models._backward(arch, p, cache, y[rows], 1.0, batch, part_grads[i])
+        return prob
+
+    with np.errstate(over="ignore", invalid="ignore"), \
+            models._scoring_threads(arch, len(flats)) as run:
+        for epoch in range(config.epochs):
+            order = shuffle_rng.permutation(n)
+            epoch_losses = []
+            for lo in range(0, n, config.batch_size):
+                sl = order[lo:lo + config.batch_size]
+                if len(sl) <= sub:
+                    prob = score_part((0, sl, len(sl)))
+                else:
+                    tasks = [(i, sl[j:j + sub], len(sl))
+                             for i, j in enumerate(range(0, len(sl), sub))]
+                    prob = np.concatenate(run(score_part, tasks))
+                    for flat in flats[1:len(tasks)]:
+                        grad_flat += flat
+                loss = models.bce(prob, y[sl])
+                if not np.isfinite(loss):
+                    raise TrainingError(
+                        f"training diverged (non-finite loss) at epoch {epoch}")
+                epoch_losses.append(loss)
+                step += 1
+                m *= models.ADAM_BETA1
+                m += (1 - models.ADAM_BETA1) * grad_flat
+                v *= models.ADAM_BETA2
+                v += (1 - models.ADAM_BETA2) * grad_flat * grad_flat
+                m_hat = m / (1 - models.ADAM_BETA1 ** step)
+                v_hat = v / (1 - models.ADAM_BETA2 ** step)
+                params -= (config.learning_rate * m_hat
+                           / (np.sqrt(v_hat) + models.ADAM_EPS)).astype(dtype)
+            trace.append(float(np.mean(epoch_losses)))
+    return Predictor(architecture=arch, params=params.astype(np.float64),
+                     loss_trace=tuple(trace))
+
+
 class TestTrainConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ConfigurationError):
@@ -264,6 +328,43 @@ class TestTrain:
             set_(before)
         assert threading.active_count() == threads
 
+    @pytest.mark.parametrize("kind, n, batch_size", [
+        ("logistic", 1000, 256),  # a ragged last batch of 232
+        ("mlp", 500, 64),
+    ])
+    def test_equals_the_per_step_loop(self, kind, n, batch_size):
+        ds = sample_rct(ScmConfig(0.5, 1.0, n, seed=2))
+        config = TrainConfig(kind, learning_rate=0.05, epochs=3,
+                             batch_size=batch_size, seed=5)
+        got, want = train(ds, config), per_step_train(ds, config)
+        assert np.array_equal(got.params, want.params)
+        assert got.loss_trace == want.loss_trace
+
+    def test_convnet_equals_the_per_step_loop(self):
+        images, labels = make_digit_images(250, seed=1)
+        colored = rb.generate(mnist.MnistArchive(images, labels),
+                              rb.build_population(3), seed=0)
+        rct = colored.as_rct_dataset()
+        # batches of 40 score in parts of 16, 16 and 8; the last batch, 10
+        config = TrainConfig("convnet", epochs=2, batch_size=40, seed=3)
+        got, want = train(rct, config), per_step_train(rct, config)
+        assert np.array_equal(got.params, want.params)
+        assert got.loss_trace == want.loss_trace
+
+    def test_divergence_epoch_equals_the_per_step_loop(self):
+        # these rates diverge at epochs 0 and 2; the epoch loss is computed
+        # after the epoch, yet the same epoch must be reported
+        ds = sample_rct(ScmConfig(0.5, 1.0, 256, seed=0))
+        for lr in (1e300, 10 ** 153.25):
+            config = TrainConfig("mlp", learning_rate=lr, epochs=4,
+                                 batch_size=64, seed=0)
+            with np.errstate(all="ignore"):
+                with pytest.raises(TrainingError) as want:
+                    per_step_train(ds, config)
+                with pytest.raises(TrainingError) as got:
+                    train(ds, config)
+            assert str(got.value) == str(want.value)
+
     def test_heldout_accuracy_beats_floor(self):
         # Bayes accuracy of the oracle threshold rule, by quadrature:
         # integrate max(phi(x), 1-phi(x)) over the observation mixture.
@@ -327,6 +428,24 @@ class TestTrain:
         noise = 0.004
         assert averaged[0] > averaged[1] + noise
         assert averaged[2] <= averaged[1] + noise
+
+
+class TestBatchLosses:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n, batch", [
+        (1024, 64), (1000, 64), (1, 64), (63, 64), (200, 1), (999, 7),
+        (100000, 256)])
+    def test_equal_bce_of_each_batch(self, dtype, n, batch):
+        rng = np.random.default_rng(n * batch)
+        prob = rng.random(n).astype(dtype)
+        prob[::5] = 0.0  # clipped before the logs
+        prob[1::7] = 1.0
+        y = rng.integers(0, 2, n).astype(dtype)
+        losses = models._batch_losses(prob, y, batch)
+        assert losses.dtype == dtype
+        want = [models.bce(prob[lo:lo + batch], y[lo:lo + batch])
+                for lo in range(0, n, batch)]
+        assert losses.tolist() == want
 
 
 class TestPredictSoft:
