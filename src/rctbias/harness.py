@@ -19,9 +19,9 @@ stages share a random stream. Runs are pure given their task description.
 (``_sweep``): in-process with one worker, otherwise on a process pool of
 ``workers`` processes, or one per task when there are fewer tasks. Tasks
 are ordered by their identity keys, so reports do not depend on
-scheduling or on the worker count. A run that raises, or whose pool
-worker dies, is recorded as a structured error entry without aborting the
-sweep.
+scheduling or on the worker count. A run that raises, or that kills its
+own pool worker, is recorded as a structured error entry without aborting
+the sweep.
 
 The config hash covers the experiment's identity (its RunConfig); how a
 sweep is executed (the worker count) and where it is written are not part
@@ -36,6 +36,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Optional
@@ -193,7 +194,9 @@ def config_hash(config: RunConfig) -> str:
 
 def _outcomes(run, tasks, workers, initializer, initargs):
     """(task, call returning the task's result) pairs in task order; the
-    call raises what the run raised, or why its pool worker failed."""
+    call raises what the run raised, or why its pool worker failed. A dead
+    worker breaks its whole pool, so each task the pool left unfinished is
+    run again alone, on a fresh pool of one worker."""
     if workers == 1:
         if initializer is not None:
             initializer(*initargs)
@@ -205,7 +208,12 @@ def _outcomes(run, tasks, workers, initializer, initargs):
                              initargs=initargs) as pool:
         futures = [pool.submit(run, task) for task in tasks]
         for task, future in zip(tasks, futures):
-            yield task, future.result
+            if len(tasks) > 1 and isinstance(future.exception(),
+                                             BrokenProcessPool):
+                yield from _outcomes(run, [task], workers, initializer,
+                                     initargs)
+            else:
+                yield task, future.result
 
 
 def _sweep(run, tasks, identity, workers, initializer=None, initargs=()):
@@ -215,9 +223,9 @@ def _sweep(run, tasks, identity, workers, initializer=None, initargs=()):
     One worker runs the tasks in this process, after calling
     ``initializer``; more run them on a process pool whose workers each
     call it. Each task is its own future, so a task that raises, or whose
-    worker dies (BrokenProcessPool), becomes an error record of its
-    identity keys, the exception type and its message, and the rest of
-    the sweep still completes.
+    worker dies even when it runs alone (BrokenProcessPool), becomes an
+    error record of its identity keys, the exception type and its message,
+    and the rest of the sweep still completes.
     """
     tasks = sorted(tasks, key=lambda task: [task[k] for k in identity])
     results, errors = [], []

@@ -89,9 +89,14 @@ def write_idx(path, array: np.ndarray) -> None:
     if not 1 <= array.ndim <= 4:
         raise IdxFormatError(f"IDX writer supports 1-4 dimensions, got {array.ndim}")
     with open(path, "wb") as fh:
-        fh.write(struct.pack(">BBBB", 0, 0, IDX_DTYPE_UBYTE, array.ndim))
-        fh.write(struct.pack(f">{array.ndim}I", *array.shape))
+        fh.write(_idx_header(array.shape))
         fh.write(np.ascontiguousarray(array).tobytes())
+
+
+def _idx_header(shape) -> bytes:
+    """The IDX header of an unsigned-byte array of the given shape."""
+    return (struct.pack(">BBBB", 0, 0, IDX_DTYPE_UBYTE, len(shape))
+            + struct.pack(f">{len(shape)}I", *shape))
 
 
 @dataclass(frozen=True)
@@ -221,6 +226,7 @@ _BLEND_TABLE = _blend_table()
 def colorize(gray: np.ndarray, b, p) -> np.ndarray:
     """Blend an (n, H, W) stack of grayscale images into (n, H, W, 3)
     channel-last RGB bytes, with per-image bit vectors ``b`` and ``p``.
+    A generated dataset calls it on the rows a stage reads (ColoredStack).
 
     Per pixel with ink value v in 0..255 the output is the convex blend
     (v/255) * pen_color + (1 - v/255) * background_color, computed in
@@ -242,6 +248,27 @@ def colorize(gray: np.ndarray, b, p) -> np.ndarray:
         index |= cell[lo:lo + COLORIZE_CHUNK, None, None]
         np.take(table, index, axis=0, out=out[lo:lo + COLORIZE_CHUNK])
     return out
+
+
+class ColoredStack:
+    """``colorize`` of a read-only grayscale stack, on demand: indexing by
+    a slice or an integer array colors just those rows, and only
+    ``np.asarray`` builds the whole (n, H, W, 3) RGB stack."""
+
+    ndim = 4
+
+    def __init__(self, gray: np.ndarray, b: np.ndarray, p: np.ndarray):
+        self.gray, self.b, self.p = gray, b, p
+        self.shape = gray.shape + (3,)
+
+    def __len__(self) -> int:
+        return len(self.gray)
+
+    def __getitem__(self, rows) -> np.ndarray:
+        return colorize(self.gray[rows], self.b[rows], self.p[rows])
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self[:], dtype=dtype)
 
 
 class CausalMnistDataset:
@@ -269,11 +296,16 @@ class CausalMnistDataset:
 
     def save(self, out_dir) -> None:
         """Write the dataset directory: an IDX blob of (n, 3, H, W) planes,
-        a metadata CSV (index,digit,y,b,p,s) and a JSON spec sidecar."""
+        a metadata CSV (index,digit,y,b,p,s) and a JSON spec sidecar. The
+        planes are colored and written COLORIZE_CHUNK images at a time."""
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        planes = np.ascontiguousarray(self.images.transpose(0, 3, 1, 2))
-        write_idx(out_dir / "images.idx", planes)
+        n, h, w, c = self.images.shape
+        with open(out_dir / "images.idx", "wb") as fh:
+            fh.write(_idx_header((n, c, h, w)))
+            for lo in range(0, n, COLORIZE_CHUNK):
+                rgb = self.images[lo:lo + COLORIZE_CHUNK]
+                fh.write(rgb.transpose(0, 3, 1, 2).tobytes())
         with open(out_dir / "metadata.csv", "w", newline="") as fh:
             fh.write("index,digit,y,b,p,s\n")
             for i in range(len(self)):
@@ -299,8 +331,9 @@ def generate(archive: MnistArchive, spec: PopulationSpec,
     """Color an archive according to the population spec.
 
     One record per source image, in archive order: the outcome is computed
-    from the digit, the color bits are drawn from the Bayes conditional,
-    and the image is blended. The annotation flag starts at 1 everywhere.
+    from the digit and the color bits are drawn from the Bayes conditional.
+    The images are a ColoredStack, blended only when a stage reads them, so
+    no RGB copy of the archive is made. The annotation flag starts at 1.
     Raises DomainError unless 0 <= seed < 2**64, the range ScmConfig allows.
     """
     if not 0 <= seed < 2 ** 64:
@@ -308,7 +341,7 @@ def generate(archive: MnistArchive, spec: PopulationSpec,
             f"seed must be an unsigned 64-bit integer, got {seed}")
     y = (archive.labels > spec.d).astype(np.int8)
     b, p = draw_colors(y, spec, seed)
-    images = colorize(archive.images, b, p)
     s = np.ones(len(y), dtype=np.int8)
-    return CausalMnistDataset(images=images, digits=archive.labels.copy(),
-                              y=y, b=b, p=p, s=s, spec=spec, seed=seed)
+    return CausalMnistDataset(images=ColoredStack(archive.images, b, p),
+                              digits=archive.labels.copy(), y=y, b=b, p=p,
+                              s=s, spec=spec, seed=seed)

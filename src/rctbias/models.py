@@ -54,7 +54,9 @@ Logistic and MLP batches are one part each, scored in series.
 Inference (``predict_soft``) keeps the caller's input as it is, pixel
 bytes for images, and casts one batch of PREDICT_BATCH_BYTES of input at a
 time (55 images, or 65,536 scalar units), so memory holds a float batch
-per thread rather than a float copy of the input. Convnet batches are
+per thread rather than a float copy of the input. The input is not
+converted to an array, so the colored-digit stack colors each batch on
+the thread that scores it. Convnet batches are
 scored on the usable cores as training's parts are (``_scoring_threads``),
 with numpy's OpenBLAS pinned to one thread for the call: a batch is
 mostly numpy copies and small GEMMs that BLAS threads barely speed up,
@@ -661,17 +663,17 @@ def train(d_s: Dataset, config: TrainConfig) -> Predictor:
 def predict_soft(predictor: Predictor, xs) -> np.ndarray:
     """Elementwise scores in [0, 1]; a pure function of parameters and input.
 
-    The whole input's shape is checked before any batch is scored. Inputs
-    are then cast to the compute dtype one batch of PREDICT_BATCH_BYTES at a
-    time, and convnet batches are scored on the usable cores, with numpy's
-    OpenBLAS pinned to one thread, so the scores do not depend on the core
-    count.
+    ``xs`` is not converted: an array-like with a shape whose slices are
+    arrays, such as the colored-digit stack, is sliced one batch of
+    PREDICT_BATCH_BYTES at a time by the thread that scores it. The whole
+    input's shape is checked before any batch is scored. Convnet batches
+    are scored on the usable cores, with numpy's OpenBLAS pinned to one
+    thread, so the scores do not depend on the core count.
     """
     arch = predictor.architecture
     dtype = _compute_dtype(arch)
     params = predictor.params.astype(dtype)
     p = unpack_params(params, arch)
-    xs = np.asarray(xs)
     _check_inputs(arch, xs)
     out = np.empty(len(xs), dtype=np.float64)
     unit_bytes = np.dtype(dtype).itemsize * math.prod(xs.shape[1:])

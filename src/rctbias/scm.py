@@ -62,13 +62,17 @@ class Dataset:
 
     Columns are read-only views of the arrays passed in, so the caller's
     arrays stay writeable and no column is copied. ``x`` holds scalar
-    observations for the synthetic RCT or an image array of shape
-    (n, H, W, C) for image benchmarks. The annotation flag ``s`` partitions
-    the data into the annotated pool (s=1) and the unannotated pool (s=0).
+    observations for the synthetic RCT or images (n, H, W, C) for image
+    benchmarks; an array-like ``x`` with a shape, such as the colored-digit
+    stack, is kept as it is. The annotation flag ``s`` partitions the data
+    into the annotated pool (s=1) and the unannotated pool (s=0).
     """
 
     def __init__(self, w, t, x, y, s):
-        w, t, x, y, s = (np.asarray(a).view() for a in (w, t, x, y, s))
+        w, t, y, s = (np.asarray(a).view() for a in (w, t, y, s))
+        if isinstance(x, np.ndarray) or not hasattr(x, "shape"):
+            x = np.asarray(x).view()
+            x.setflags(write=False)
         n = len(w)
         for name, col in (("t", t), ("x", x), ("y", y), ("s", s)):
             if len(col) != n:
@@ -80,7 +84,7 @@ class Dataset:
                 raise ConfigurationError(
                     f"column {name} must be binary, found values {vals[:5]}")
         self.w, self.t, self.x, self.y, self.s = w, t, x, y, s
-        for col in (self.w, self.t, self.x, self.y, self.s):
+        for col in (w, t, y, s):
             col.setflags(write=False)
 
     def __len__(self) -> int:

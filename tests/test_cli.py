@@ -199,11 +199,12 @@ class TestSimulate:
         assert code == 3
         assert json.loads(err)["status"] == "partial"
         doc = json.loads((out / "report.json").read_text())
-        cells = [(r["n"], r["seed"]) for r in doc["runs"] + doc["errors"]]
-        assert sorted(cells) == [(n, seed) for n in (1000, 1500)
-                                 for seed in (0, 1, 2)]
-        failed = {(e["n"], e["seed"]) for e in doc["errors"]}
-        assert {(1000, 1), (1500, 1)} <= failed
+        # the cells the broken pool left unfinished are rerun alone, so
+        # only the two that kill their own worker are lost
+        runs = [(r["n"], r["seed"]) for r in doc["runs"]]
+        assert runs == [(n, seed) for n in (1000, 1500) for seed in (0, 2)]
+        failed = [(e["n"], e["seed"]) for e in doc["errors"]]
+        assert failed == [(1000, 1), (1500, 1)]
         assert {e["error"] for e in doc["errors"]} == {"BrokenProcessPool"}
 
     def test_missing_output_dir_fails(self, capsys):

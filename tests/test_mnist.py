@@ -1,14 +1,18 @@
 import csv
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rctbias import (DomainError, IdxFormatError, build_population, colorize,
                      draw_colors, generate, load_idx, read_idx, write_idx)
-from rctbias import mnist
-from rctbias.mnist import BACKGROUND_COLORS, PEN_COLORS, MnistArchive
+from rctbias import mnist, models
+from rctbias.mnist import (BACKGROUND_COLORS, PEN_COLORS, ColoredStack,
+                           MnistArchive)
+
+CONV_ARCH = {"kind": "convnet", "height": 28, "width": 28, "channels": 3}
 
 
 class TestIdxFormat:
@@ -199,6 +203,83 @@ class TestColorizeMatchesBroadcastIndex:
         got = colorize(gray, b, p)
         assert got.shape == (n, 16, 16, 3) and got.dtype == np.uint8
         assert np.array_equal(got, want)
+
+
+def gray_stack(n, seed):
+    """n random read-only grayscale images, and (b, p) bits that cycle
+    through the four color cells."""
+    gray = np.random.default_rng(seed).integers(0, 256, size=(n, 28, 28),
+                                                dtype=np.uint8)
+    gray.setflags(write=False)
+    b = (np.arange(n) // 2 % 2).astype(np.int8)
+    p = (np.arange(n) % 2).astype(np.int8)
+    return gray, b, p
+
+
+def conv_predictor():
+    return models.Predictor(architecture=CONV_ARCH,
+                            params=models.init_params(CONV_ARCH, seed=0))
+
+
+class TestColoredStack:
+    @pytest.mark.parametrize("n", [4, mnist.COLORIZE_CHUNK + 5,
+                                   2 * mnist.COLORIZE_CHUNK + 3])
+    def test_indexing_equals_whole_archive_colorize(self, n):
+        gray, b, p = gray_stack(n, seed=n)
+        whole = colorize(gray, b, p)
+        stack = ColoredStack(gray, b, p)
+        assert (stack.shape, stack.ndim, len(stack)) == (whole.shape, 4, n)
+        got = np.asarray(stack)
+        assert got.dtype == np.uint8 and np.array_equal(got, whole)
+        for rows in (slice(None), slice(1, n - 1), slice(n - 3, None),
+                     slice(None, None, 3), slice(n, None)):
+            assert np.array_equal(stack[rows], whole[rows])
+        index = np.random.default_rng(n).permutation(n)[:n // 2 + 1]
+        assert np.array_equal(stack[index], whole[index])
+
+    def test_generate_colors_on_demand(self, digit_archive):
+        ds = generate(digit_archive, build_population(3), seed=6)
+        assert isinstance(ds.images, ColoredStack)
+        assert np.array_equal(np.asarray(ds.images),
+                              colorize(digit_archive.images, ds.b, ds.p))
+        rct = ds.as_rct_dataset()
+        assert rct.x is ds.images
+        rows = np.flatnonzero(ds.p == 0)[:300]
+        sub = rct.subset(rows)
+        assert isinstance(sub.x, np.ndarray) and not sub.x.flags.writeable
+        assert np.array_equal(sub.x, colorize(digit_archive.images[rows],
+                                              ds.b[rows], ds.p[rows]))
+
+    def test_predict_soft_equals_the_materialized_stack(self):
+        # two whole 55-image batches and a ragged one of 17
+        gray, b, p = gray_stack(2 * 55 + 17, seed=3)
+        stack = ColoredStack(gray, b, p)
+        pred = conv_predictor()
+        assert np.array_equal(models.predict_soft(pred, stack),
+                              models.predict_soft(pred, np.asarray(stack)))
+
+    def test_generate_and_predict_never_hold_the_rgb_stack(self,
+                                                           monkeypatch):
+        # one scoring thread, so one batch's buffers are alive at a time
+        monkeypatch.setattr(models, "_usable_cores", lambda: 1)
+        n = 20000
+        gray, _, _ = gray_stack(n, seed=5)
+        labels = (np.arange(n) % 10).astype(np.uint8)
+        spec, pred = build_population(3), conv_predictor()
+
+        def traced_peak(archive):
+            tracemalloc.start()
+            try:
+                ds = generate(archive, spec, seed=8)
+                models.predict_soft(pred, ds.as_rct_dataset().x)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_batch = traced_peak(MnistArchive(gray[:55], labels[:55]))
+        whole = traced_peak(MnistArchive(gray, labels))
+        rgb_stack = n * 28 * 28 * 3   # 47 MB
+        assert whole - one_batch < rgb_stack / 20
 
 
 class TestGenerate:
