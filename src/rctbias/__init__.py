@@ -8,8 +8,8 @@ from .errors import (ConfigurationError, DomainError, EstimationError,
                      IdxFormatError, InfeasibleError, RctBiasError,
                      SamplingError, TrainingError)
 from .scm import Dataset, ScmConfig, oracle_conditional_mean, sample_rct
-from .analytic import (analytic_ad, analytic_discretized_ad, normal_cdf,
-                       teb_upper_bound, worst_case_predictor)
+from .analytic import (analytic_ad, analytic_discretized_ad, teb_upper_bound,
+                       worst_case_predictor)
 from .annotation import SamplingScheme, assign_annotation, validation_indices
 from .models import (Predictor, PredictionMetrics, TrainConfig, discretize,
                      evaluate_predictions, predict_soft, train)
@@ -26,10 +26,10 @@ __all__ = [
     "ConfigurationError", "DomainError", "EstimationError", "IdxFormatError",
     "InfeasibleError", "RctBiasError", "SamplingError", "TrainingError",
     "Dataset", "ScmConfig", "oracle_conditional_mean", "sample_rct",
-    "analytic_ad", "analytic_discretized_ad", "normal_cdf",
-    "teb_upper_bound", "worst_case_predictor", "SamplingScheme",
-    "assign_annotation", "validation_indices", "Predictor",
-    "PredictionMetrics", "TrainConfig", "discretize", "evaluate_predictions",
+    "analytic_ad", "analytic_discretized_ad", "teb_upper_bound",
+    "worst_case_predictor", "SamplingScheme", "assign_annotation",
+    "validation_indices", "Predictor", "PredictionMetrics", "TrainConfig",
+    "discretize", "evaluate_predictions",
     "predict_soft", "train", "DiscretizationTestResult", "TTestResult",
     "TebReport", "frechet_distance",
     "paired_discretization_test", "spearman", "spearman_matrix", "t_test",

@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 
 from . import harness, mnist
 from ._version import __version__
-from .errors import RctBiasError
+from .errors import ConfigurationError, RctBiasError
 
 
 def _ints(text: str) -> tuple:
@@ -102,8 +102,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_config_file(path: str) -> dict:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path} is not UTF-8 text: {exc}") from None
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -16,12 +16,12 @@ Each run derives independent sub-seeds (generation, annotation,
 validation, training) from its run seed through a SeedSequence, so no two
 stages share a random stream. Runs are pure given their task description.
 ``run_study`` runs the study its RunConfig names through one sweep
-(``_sweep``): in-process with one worker, otherwise on a process pool of
-``workers`` processes, or one per task when there are fewer tasks. Tasks
-are ordered by their identity keys, so reports do not depend on
-scheduling or on the worker count. A run that raises, or that kills its
-own pool worker, is recorded as a structured error entry without aborting
-the sweep.
+(``_sweep``): in-process with one worker or one task, otherwise on a
+process pool of ``workers`` processes, or one per task when there are
+fewer tasks. Tasks are ordered by their identity keys, so reports do not
+depend on scheduling or on the worker count. A run that raises, or that
+kills its own pool worker, is recorded as a structured error entry
+without aborting the sweep.
 
 The config hash covers the experiment's identity (its RunConfig); how a
 sweep is executed (the worker count) and where it is written are not part
@@ -220,14 +220,16 @@ def _sweep(run, tasks, identity, workers, initializer=None, initargs=()):
     """Run every task through ``run``; returns (results, errors), both in
     the order of the tasks' ``identity`` keys.
 
-    One worker runs the tasks in this process, after calling
-    ``initializer``; more run them on a process pool whose workers each
-    call it. Each task is its own future, so a task that raises, or whose
-    worker dies even when it runs alone (BrokenProcessPool), becomes an
-    error record of its identity keys, the exception type and its message,
-    and the rest of the sweep still completes.
+    One worker, or one task, runs in this process, after calling
+    ``initializer``; more run on a process pool of min(workers, tasks)
+    processes, each of which calls it. Each task is its own future, so a
+    task that raises, or whose worker dies even when it runs alone
+    (BrokenProcessPool), becomes an error record of its identity keys, the
+    exception type and its message, and the rest of the sweep still
+    completes.
     """
     tasks = sorted(tasks, key=lambda task: [task[k] for k in identity])
+    workers = min(workers, len(tasks))
     results, errors = [], []
     for task, outcome in _outcomes(run, tasks, workers, initializer, initargs):
         try:
@@ -511,15 +513,21 @@ def report_to_dict(report: ExperimentReport) -> dict:
 
 
 def report_from_json(path) -> ExperimentReport:
-    """Rehydrate a stored report (enough structure to re-render outputs)."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    return ExperimentReport(
-        experiment=doc["experiment"], config=doc["config"],
-        config_hash=doc["config_hash"], tool_version=doc["tool_version"],
-        runs=doc.get("runs", []), aggregates=doc.get("aggregates", {}),
-        tests=doc.get("tests", {}), correlations=doc.get("correlations", {}),
-        errors=doc.get("errors", []))
+    """Rehydrate a stored report (enough structure to re-render outputs).
+    Raises ConfigurationError, naming the file, when it holds no report."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        return ExperimentReport(
+            experiment=doc["experiment"], config=doc["config"],
+            config_hash=doc["config_hash"], tool_version=doc["tool_version"],
+            runs=doc.get("runs", []), aggregates=doc.get("aggregates", {}),
+            tests=doc.get("tests", {}),
+            correlations=doc.get("correlations", {}),
+            errors=doc.get("errors", []))
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ConfigurationError(
+            f"{path} is not a stored report: {exc!r}") from None
 
 
 def emit_report(report: ExperimentReport, out_dir) -> list:

