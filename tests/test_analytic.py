@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from rctbias import (Dataset, DomainError, InfeasibleError, analytic_ad,
                      analytic_discretized_ad, teb_upper_bound,
@@ -32,6 +33,16 @@ def toy_dataset(t, y):
     y = np.asarray(y)
     return Dataset(w=np.zeros(len(t)), t=t, x=np.zeros(len(t)), y=y,
                    s=np.ones(len(t), dtype=np.int8))
+
+
+class TestNormalCdf:
+    """The normal CDF the analytic references are built on: scipy's ndtr."""
+
+    def test_paper_anchor_value(self):
+        # the thresholded-oracle success rate, quoted as ~0.76
+        z = 1 / math.sqrt(2)
+        assert abs(ndtr(z) - 0.7602499389065233) < 1e-12
+        assert abs(ndtr(z) - reference_normal_cdf(z)) < 1e-12
 
 
 class TestAnalyticAd:
