@@ -470,9 +470,12 @@ def run_study(config: RunConfig, workers: int = 1) -> ExperimentReport:
         _check_validation_fits(config, len(archive))
         tasks = [{"scheme": scheme, "seed": seed, "config": config}
                  for scheme in config.schemes for seed in config.seeds]
-        report.runs, report.errors = _sweep(
-            _mnist_run, tasks, ("scheme", "seed"), workers,
-            initializer=_init_mnist_worker, initargs=(archive,))
+        try:
+            report.runs, report.errors = _sweep(
+                _mnist_run, tasks, ("scheme", "seed"), workers,
+                initializer=_init_mnist_worker, initargs=(archive,))
+        finally:
+            _init_mnist_worker(None)  # release what an in-process sweep set
         _aggregate_mnist(report, config)
     return report
 
@@ -514,11 +517,12 @@ def report_to_dict(report: ExperimentReport) -> dict:
 
 def report_from_json(path) -> ExperimentReport:
     """Rehydrate a stored report (enough structure to re-render outputs).
-    Raises ConfigurationError, naming the file, when it holds no report."""
+    Raises ConfigurationError, naming the file, when it holds no report or
+    a block of the wrong JSON type."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        return ExperimentReport(
+        report = ExperimentReport(
             experiment=doc["experiment"], config=doc["config"],
             config_hash=doc["config_hash"], tool_version=doc["tool_version"],
             runs=doc.get("runs", []), aggregates=doc.get("aggregates", {}),
@@ -528,6 +532,17 @@ def report_from_json(path) -> ExperimentReport:
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigurationError(
             f"{path} is not a stored report: {exc!r}") from None
+    for name in ("runs", "errors"):
+        rows = getattr(report, name)
+        if not (isinstance(rows, list)
+                and all(isinstance(row, dict) for row in rows)):
+            raise ConfigurationError(f"{path} is not a stored report: "
+                                     f"{name} is not a list of objects")
+    for name in ("aggregates", "tests", "correlations"):
+        if not isinstance(getattr(report, name), dict):
+            raise ConfigurationError(f"{path} is not a stored report: "
+                                     f"{name} is not an object")
+    return report
 
 
 def emit_report(report: ExperimentReport, out_dir) -> list:

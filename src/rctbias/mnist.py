@@ -90,7 +90,7 @@ def write_idx(path, array: np.ndarray) -> None:
         raise IdxFormatError(f"IDX writer supports 1-4 dimensions, got {array.ndim}")
     with open(path, "wb") as fh:
         fh.write(_idx_header(array.shape))
-        fh.write(np.ascontiguousarray(array).tobytes())
+        fh.write(np.ascontiguousarray(array).data)
 
 
 def _idx_header(shape) -> bytes:

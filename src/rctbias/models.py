@@ -14,13 +14,21 @@ reproduce identical parameters bit for bit.
 
 A training step computes no loss and allocates no Adam temporaries: each
 batch writes its scores into one epoch-long buffer in shuffled order, and
-the Adam moments and two scratch vectors are allocated once per ``train``
-call and updated in place, in the operation order of the textbook formula.
-After each epoch, every batch's BCE is computed from that epoch's scores
-in one vectorized pass, equal bit for bit to ``bce`` of each batch. So a
-divergence (a non-finite loss) is reported at the end of the epoch in
-which it happened, and the rest of that epoch trains on non-finite
-parameters to no effect.
+Adam updates the parameters in place, in the operation order of the
+textbook formula. A float64 vector of at most ADAM_FLOATS_MAX entries,
+such as the logistic scorer's two, keeps its moments and values as Python
+floats, since numpy's per-call cost outweighs the arithmetic at that size.
+That keeps the bits of the array update: a CPython float operation and a
+numpy float64 ufunc round the same IEEE way, ``math.sqrt`` is correctly
+rounded like ``np.sqrt``, and neither fuses operations. A longer or
+float32 vector, such as the convnet's, updates in moment and scratch
+arrays allocated once per ``train`` call. The logistic forward pass
+computes its scores in one array, and the backward pass writes the
+gradient straight into its buffer. After each epoch, every batch's BCE is
+computed from that epoch's scores in one vectorized pass, equal bit for
+bit to ``bce`` of each batch. So a divergence (a non-finite loss) is
+reported at the end of the epoch in which it happened, and the rest of
+that epoch trains on non-finite parameters to no effect.
 
 Convolutions are im2col matrix products (Chellapilla, Puri & Simard 2006):
 each layer copies its 5x5 input patches into the rows of a matrix whose
@@ -109,6 +117,7 @@ PIXEL_SCALE = 1.0 / 255.0  # per-channel scaling to [0, 1]
 PIXEL_CENTER = 0.5         # subtracted from every channel after scaling
 PREDICT_BATCH_BYTES = 512 * 1024  # cast input per batch in predict_soft
 SUB_BATCH = 16             # convnet training: images per scored part
+ADAM_FLOATS_MAX = 16       # Adam on Python floats up to this length
 _M_ARENA_MAX = -8          # glibc's mallopt parameter number
 
 
@@ -342,9 +351,10 @@ def prepare_inputs(arch: dict, xs, dtype=None) -> np.ndarray:
 
 def _forward(arch, p, x, want_cache):
     if arch["kind"] == "logistic":
-        z = x @ p["w"] + p["b"]
-        prob = expit(z)
-        return prob, (x, prob) if want_cache else None
+        z = x @ p["w"]
+        z += p["b"]
+        expit(z, out=z)
+        return z, (x, z) if want_cache else None
     p1, cols1, masks1 = _conv_pool_relu(x, p["k1"], p["c1"], want_cache)
     p2, cols2, masks2 = _conv_pool_relu(p1, p["k2"], p["c2"], want_cache)
     flat = p2.reshape(x.shape[0], -1)
@@ -366,8 +376,8 @@ def _backward(arch, p, cache, y, divisor, grads):
     dz = (prob - y) / divisor
     if arch["kind"] == "logistic":
         x, _ = cache
-        grads["w"][...] = x.T @ dz
-        grads["b"][...] = dz.sum()
+        np.matmul(x.T, dz, out=grads["w"])
+        np.add.reduce(dz, out=grads["b"])
         return
     cols1, masks1, p1, cols2, masks2, p2, flat, a3, h3, _ = cache
     grads["w4"][...] = h3.T @ dz
@@ -540,6 +550,54 @@ def _architecture_for(config: TrainConfig, x: np.ndarray) -> dict:
     return {"kind": kind, "in_dim": 1 if x.ndim == 1 else int(x.shape[1])}
 
 
+def _adam(params: np.ndarray, lr: float):
+    """Adam on ``params`` in place: returns ``update(grad, step)``, which
+    applies step ``step`` (counted from 1) of the gradient ``grad``.
+
+    Each entry gets the roundings of the expressions
+    m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g and
+    p = p - ((m / c1) lr) / (sqrt(v / c2) + eps), with c1 = 1 - b1**step
+    and c2 = 1 - b2**step, left to right, on Python floats for a float64
+    vector of at most ADAM_FLOATS_MAX entries (written back with one slice
+    assignment), else in arrays. Non-finite values pass silently on both
+    paths: no Python float operation here can raise, since c1, c2 and
+    sqrt(v / c2) + eps are positive or NaN, and v is never negative.
+    """
+    if params.dtype == np.float64 and len(params) <= ADAM_FLOATS_MAX:
+        lr = float(lr)
+        values = params.tolist()
+        m, v = [0.0] * len(values), [0.0] * len(values)
+
+        def update(grad, step):
+            c1, c2 = 1 - ADAM_BETA1 ** step, 1 - ADAM_BETA2 ** step
+            for i, g in enumerate(grad.tolist()):
+                m[i] = mi = ADAM_BETA1 * m[i] + (1 - ADAM_BETA1) * g
+                v[i] = vi = ADAM_BETA2 * v[i] + ((1 - ADAM_BETA2) * g) * g
+                values[i] -= ((mi / c1) * lr) / (math.sqrt(vi / c2) + ADAM_EPS)
+            params[:] = values
+        return update
+
+    # the moments, and two scratch vectors
+    m, v, a, b = (np.zeros_like(params) for _ in range(4))
+
+    def update(grad, step):
+        nonlocal m, v, a, b, params  # the in-place operators rebind them
+        m *= ADAM_BETA1
+        m += np.multiply(1 - ADAM_BETA1, grad, out=a)
+        v *= ADAM_BETA2
+        np.multiply(1 - ADAM_BETA2, grad, out=a)
+        a *= grad
+        v += a
+        np.divide(m, 1 - ADAM_BETA1 ** step, out=a)
+        a *= lr
+        np.divide(v, 1 - ADAM_BETA2 ** step, out=b)
+        np.sqrt(b, out=b)
+        b += ADAM_EPS
+        a /= b
+        params -= a
+    return update
+
+
 def train(d_s: Dataset, config: TrainConfig) -> Predictor:
     """Fit a predictor on the given (annotated) dataset by mini-batch Adam
     on the binary cross-entropy.
@@ -552,15 +610,16 @@ def train(d_s: Dataset, config: TrainConfig) -> Predictor:
 
     Steps compute no loss: each epoch's batch losses are computed after the
     epoch from its scores, and their mean goes into the loss trace. Adam
-    runs in buffers allocated once per call. Raises TrainingError at the
+    allocates nothing per step (``_adam``). Raises TrainingError at the
     end of the epoch in which the loss became non-finite (divergence),
     reporting that epoch.
     """
     if len(d_s) == 0:
         raise TrainingError("training pool is empty")
-    arch = _architecture_for(config, np.asarray(d_s.x))
+    xs = np.asarray(d_s.x)  # colors a lazy image stack once
+    arch = _architecture_for(config, xs)
     dtype = _compute_dtype(arch)
-    x = prepare_inputs(arch, d_s.x, dtype)
+    x = prepare_inputs(arch, xs, dtype)
     y = np.asarray(d_s.y, dtype=dtype)
 
     init_seq, shuffle_seq = np.random.SeedSequence(config.seed).spawn(2)
@@ -575,8 +634,7 @@ def train(d_s: Dataset, config: TrainConfig) -> Predictor:
              for _ in range(math.ceil(min(config.batch_size, n) / sub))]
     grad_flat = flats[0]
     part_grads = [unpack_params(flat, arch) for flat in flats]
-    # Adam moments, and two scratch vectors for the update
-    m, v, a, b = (np.zeros_like(params) for _ in range(4))
+    adam = _adam(params, config.learning_rate)
     prob = np.empty(n, dtype=dtype)  # the epoch's scores, in shuffled order
     step = 0
     trace = []
@@ -604,23 +662,8 @@ def train(d_s: Dataset, config: TrainConfig) -> Predictor:
                     run(score_part, tasks)
                     for flat in flats[1:len(tasks)]:
                         grad_flat += flat
-                # Adam in place, with the roundings of the expressions
-                # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
-                # params -= lr m_hat / (sqrt(v_hat) + eps), left to right
                 step += 1
-                m *= ADAM_BETA1
-                m += np.multiply(1 - ADAM_BETA1, grad_flat, out=a)
-                v *= ADAM_BETA2
-                np.multiply(1 - ADAM_BETA2, grad_flat, out=a)
-                a *= grad_flat
-                v += a
-                np.divide(m, 1 - ADAM_BETA1 ** step, out=a)
-                a *= config.learning_rate
-                np.divide(v, 1 - ADAM_BETA2 ** step, out=b)
-                np.sqrt(b, out=b)
-                b += ADAM_EPS
-                a /= b
-                params -= a
+                adam(grad_flat, step)
             losses = _batch_losses(prob, y_order, config.batch_size)
             if not np.isfinite(losses).all():
                 raise TrainingError(

@@ -316,14 +316,32 @@ def test_bad_digit_archive_fails_before_any_run(tmp_path, capsys, archive,
     assert not out.exists()
 
 
+def _stored_report(**blocks) -> bytes:
+    """A stored convergence report's identity fields, and ``blocks``."""
+    return json.dumps({"experiment": "convergence", "config": {},
+                       "config_hash": "x", "tool_version": "0",
+                       **blocks}).encode()
+
+
 @pytest.mark.parametrize("command, flag, content, named", [
     ("report", "--input", b"not json\n", "JSONDecodeError"),
     ("report", "--input", b"[1, 2]\n", "TypeError"),
     ("report", "--input", b'{"config": {}}\n', "KeyError('experiment')"),
     ("report", "--input", b"\xff\xfe{}\n", "UnicodeDecodeError"),
     ("simulate", "--config", b"seeds=1\nsizes=\xff\n", "not UTF-8 text"),
+    ("report", "--input", _stored_report(runs=5),
+     "runs is not a list of objects"),
+    ("report", "--input", _stored_report(errors=[3]),
+     "errors is not a list of objects"),
+    ("report", "--input", _stored_report(aggregates=[]),
+     "aggregates is not an object"),
+    ("report", "--input", _stored_report(tests=1), "tests is not an object"),
+    ("report", "--input", _stored_report(correlations=[["all", 5]]),
+     "correlations is not an object"),
 ], ids=["not-json", "json-list", "no-experiment", "report-not-utf8",
-        "config-not-utf8"])
+        "config-not-utf8", "runs-not-a-list", "errors-not-objects",
+        "aggregates-not-an-object", "tests-not-an-object",
+        "correlations-not-an-object"])
 def test_unreadable_input_file_fails_with_json(tmp_path, capsys, command,
                                                flag, content, named):
     given = tmp_path / "given"

@@ -193,6 +193,29 @@ def test_all_runs_failed_still_emits_an_empty_table(tmp_path,
     assert "workers" not in doc["config"] and "output_dir" not in doc["config"]
 
 
+class _Interrupt(BaseException):
+    """Escapes a sweep's record-and-continue, as an interrupt does."""
+
+
+@pytest.mark.parametrize("ending", ["returns", "raises"])
+def test_one_worker_sweep_releases_the_archive(monkeypatch, ending,
+                                               digit_archive_paths):
+    images, labels = digit_archive_paths
+    config = RunConfig(experiment=MNIST_EXPERIMENT, seeds=(0,),
+                       schemes=("biased_many",), mnist_images=images,
+                       mnist_labels=labels, epochs=1)
+    if ending == "raises":
+        def interrupted(task):
+            assert harness._WORKER_ARCHIVE is not None
+            raise _Interrupt
+        monkeypatch.setattr(harness, "_mnist_run", interrupted)
+        with pytest.raises(_Interrupt):
+            run_study(config, workers=1)
+    else:
+        assert run_study(config, workers=1).errors
+    assert harness._WORKER_ARCHIVE is None
+
+
 class TestEmission:
     def make_report(self):
         config = RunConfig(experiment=CONVERGENCE_EXPERIMENT, seeds=(0, 1),

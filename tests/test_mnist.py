@@ -18,9 +18,11 @@ CONV_ARCH = {"kind": "convnet", "height": 28, "width": 28, "channels": 3}
 class TestIdxFormat:
     def test_round_trip_all_ranks(self, tmp_path):
         rng = np.random.default_rng(0)
-        for shape in ((17,), (5, 7), (6, 28, 28), (4, 3, 28, 28)):
-            arr = rng.integers(0, 256, size=shape, dtype=np.uint8)
-            path = tmp_path / ("a%d.idx" % len(shape))
+        arrays = [rng.integers(0, 256, size=shape, dtype=np.uint8)
+                  for shape in ((17,), (5, 7), (6, 28, 28), (4, 3, 28, 28))]
+        arrays.append(arrays[2][:, ::2])  # not C-contiguous
+        for i, arr in enumerate(arrays):
+            path = tmp_path / ("a%d.idx" % i)
             write_idx(path, arr)
             assert np.array_equal(read_idx(path), arr)
 

@@ -250,7 +250,52 @@ class TestConvPlan:
                     assert np.allclose(out[b, i, j], block.max(axis=(0, 1)))
 
 
+class TestAdam:
+    @pytest.mark.parametrize("size", [1, 2, models.ADAM_FLOATS_MAX])
+    @pytest.mark.parametrize("exponents, lr", [
+        ((-3, 3), 0.05),         # ordinary gradients
+        ((-324, -300), 1e-300),  # subnormal gradients and steps
+        ((150, 307), 1e300),     # g * g and the step overflow to inf
+        ((-324, 307), 1.0),      # all of these, over and over
+    ], ids=["ordinary", "tiny", "huge", "mixed"])
+    def test_python_floats_equal_the_array_update(self, monkeypatch, size,
+                                                  exponents, lr):
+        # a short float64 vector updates on Python floats; the array code,
+        # which every longer vector runs, must give the same bits
+        rng = np.random.default_rng(size)
+        shape = (1000, size)
+        grads = rng.standard_normal(shape) * 10.0 ** rng.uniform(*exponents,
+                                                                 shape)
+        special = rng.random(shape)
+        grads[special < 1e-3] = np.inf
+        grads[(1e-3 <= special) & (special < 2e-3)] = -np.inf
+        grads[(2e-3 <= special) & (special < 3e-3)] = np.nan
+        floats = rng.standard_normal(size)
+        arrays = floats.copy()
+        update_floats = models._adam(floats, lr)
+        monkeypatch.setattr(models, "ADAM_FLOATS_MAX", 0)
+        update_arrays = models._adam(arrays, lr)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step, grad in enumerate(grads, start=1):
+                update_floats(grad, step)
+                update_arrays(grad, step)
+                assert floats.tobytes() == arrays.tobytes(), step
+
+
 class TestTrain:
+    def test_colors_a_generated_stack_once(self, monkeypatch):
+        images, labels = make_digit_images(64, seed=1)
+        colored = rb.generate(mnist.MnistArchive(images, labels),
+                              rb.build_population(3), seed=0)
+        colorize, colored_rows = mnist.colorize, []
+
+        def counted(gray, b, p):
+            colored_rows.append(len(gray))
+            return colorize(gray, b, p)
+        monkeypatch.setattr(mnist, "colorize", counted)
+        train(colored.as_rct_dataset(), TrainConfig("convnet", epochs=1))
+        assert colored_rows == [64]
+
     def test_deterministic_parameters(self):
         ds = sample_rct(ScmConfig(0.5, 1.0, 2000, seed=0))
         config = TrainConfig("logistic", learning_rate=0.05, epochs=3,
