@@ -25,8 +25,8 @@ without aborting the sweep.
 
 The config hash covers the experiment's identity (its RunConfig); how a
 sweep is executed (the worker count) and where it is written are not part
-of it. A report stores the per-run records only; the metric table and the
-violin series are derived from them.
+of it. A report is its config, runs and errors: ``_report`` derives
+every other block from them, after a sweep and when a report is read.
 """
 
 from __future__ import annotations
@@ -108,9 +108,9 @@ class RunConfig:
                 raise ConfigurationError(
                     f"{name} must be a nonempty, duplicate-free list, "
                     f"got {list(values)}")
-        if min(self.seeds) < 0:
-            raise ConfigurationError(
-                f"seeds must be >= 0, got {min(self.seeds)}")
+        for seed in self.seeds:
+            if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+                raise ConfigurationError(f"seeds must be >= 0, got {seed}")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigurationError("threshold must satisfy 0 < threshold "
                                      f"< 1, got {self.threshold}")
@@ -129,9 +129,11 @@ class RunConfig:
                 raise ConfigurationError("the colored-digit study requires "
                                          "mnist_images and mnist_labels paths")
             mnist.build_population(self.digit_threshold)
-            if self.validation_size is not None and self.validation_size < 1:
+            size = self.validation_size
+            if size is not None and not (
+                    isinstance(size, (int, np.integer)) and size >= 1):
                 raise ConfigurationError(
-                    f"validation_size must be >= 1, got {self.validation_size}")
+                    f"validation_size must be >= 1, got {size}")
 
     def train_config(self, seed: int) -> models.TrainConfig:
         """The training settings of one run: the study's defaults, with each
@@ -145,9 +147,9 @@ class RunConfig:
 
 @dataclass
 class ExperimentReport:
-    """Everything an experiment produced. The per-run records are the only
-    stored results; aggregates are recomputable from them, and the metric
-    table and the violin series are derived from them on access."""
+    """Everything an experiment produced. The config, runs and errors are
+    its results; ``_report`` computes the aggregates, tests and correlations
+    from them, and the metric table and violins are derived on access."""
 
     experiment: str
     config: dict
@@ -165,8 +167,9 @@ class ExperimentReport:
         and METRIC_COLUMNS; None for the convergence study."""
         if self.experiment != MNIST_EXPERIMENT:
             return None
+        model_kind = TRAINING_DEFAULTS[MNIST_EXPERIMENT]["model_kind"]
         return [{"seed": run["seed"], "scheme": run["scheme"],
-                 "model_kind": "convnet",
+                 "model_kind": model_kind,
                  **{name: run[name] for name in METRIC_COLUMNS}}
                 for run in self.runs]
 
@@ -246,6 +249,12 @@ def _subseeds(seed: int, n: int) -> list:
     return [int(w) for w in words]
 
 
+def _column(rows: list, name: str) -> np.ndarray:
+    """The values of ``name`` across ``rows`` (None becomes NaN); raises
+    ValueError on a value that is not one number."""
+    return np.fromiter((row[name] for row in rows), np.float64, len(rows))
+
+
 # --------------------------------------------------------------------------
 # convergence study
 
@@ -282,8 +291,7 @@ def _aggregate_convergence(report: ExperimentReport,
     per_n = {}
     for n in sorted({r["n"] for r in report.runs}):
         cells = [r for r in report.runs if r["n"] == n]
-        soft = np.array([c["ead_soft"] for c in cells])
-        hard = np.array([c["ead_hard"] for c in cells])
+        soft, hard = _column(cells, "ead_soft"), _column(cells, "ead_hard")
         per_n[str(n)] = {
             "runs": len(cells),
             "ead_soft_mean": float(soft.mean()),
@@ -356,11 +364,6 @@ def _mnist_run(task: dict) -> dict:
     }
 
 
-def _column(rows: list, name: str) -> np.ndarray:
-    """The values of ``name`` across ``rows`` (None becomes NaN)."""
-    return np.array([row[name] for row in rows], dtype=np.float64)
-
-
 def _aggregate_mnist(report: ExperimentReport, config: RunConfig) -> None:
     runs = report.runs
 
@@ -404,9 +407,10 @@ def _aggregate_mnist(report: ExperimentReport, config: RunConfig) -> None:
                 report.tests.setdefault("abs_terb_biased_vs_random", {})[
                     f"{biased}_vs_{random_}"] = entry
 
-    groups = {"all": runs,
-              "random": [r for r in runs if r["scheme"].startswith("random")],
-              "biased": [r for r in runs if r["scheme"].startswith("biased")]}
+    groups = {"all": runs}
+    for name, kind in (("random", "random"), ("biased", "covariate_biased")):
+        groups[name] = [r for r in runs
+                        if MNIST_SCHEMES[r["scheme"]][0] == kind]
     for name, rows in groups.items():
         if len(rows) >= 3:
             report.correlations[name] = metrics.spearman_matrix(
@@ -443,6 +447,20 @@ def _check_validation_fits(config: RunConfig, archive_size: int) -> None:
 # --------------------------------------------------------------------------
 # the study runner
 
+def _report(config: RunConfig, runs: list, errors: list,
+            tool_version: str) -> ExperimentReport:
+    """The report of ``config``'s runs and errors, with the aggregates,
+    tests and correlations its study derives from them."""
+    report = ExperimentReport(
+        experiment=config.experiment, config=asdict(config),
+        config_hash=config_hash(config), tool_version=tool_version,
+        runs=runs, errors=errors)
+    aggregate = _aggregate_convergence \
+        if config.experiment == CONVERGENCE_EXPERIMENT else _aggregate_mnist
+    aggregate(report, config)
+    return report
+
+
 def run_study(config: RunConfig, workers: int = 1) -> ExperimentReport:
     """Run the study ``config.experiment`` names on ``workers`` processes.
 
@@ -455,15 +473,11 @@ def run_study(config: RunConfig, workers: int = 1) -> ExperimentReport:
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    report = ExperimentReport(
-        experiment=config.experiment, config=asdict(config),
-        config_hash=config_hash(config), tool_version=__version__)
     if config.experiment == CONVERGENCE_EXPERIMENT:
         tasks = [{"n": int(n), "seed": seed, "config": config}
                  for n in config.sample_sizes for seed in config.seeds]
-        report.runs, report.errors = _sweep(_convergence_cell, tasks,
-                                            ("n", "seed"), workers)
-        _aggregate_convergence(report, config)
+        runs, errors = _sweep(_convergence_cell, tasks, ("n", "seed"),
+                              workers)
     else:
         # loaded once, before any run, so a bad archive is a bad input
         archive = mnist.load_idx(config.mnist_images, config.mnist_labels)
@@ -471,13 +485,12 @@ def run_study(config: RunConfig, workers: int = 1) -> ExperimentReport:
         tasks = [{"scheme": scheme, "seed": seed, "config": config}
                  for scheme in config.schemes for seed in config.seeds]
         try:
-            report.runs, report.errors = _sweep(
+            runs, errors = _sweep(
                 _mnist_run, tasks, ("scheme", "seed"), workers,
                 initializer=_init_mnist_worker, initargs=(archive,))
         finally:
             _init_mnist_worker(None)  # release what an in-process sweep set
-        _aggregate_mnist(report, config)
-    return report
+    return _report(config, runs, errors, __version__)
 
 
 # --------------------------------------------------------------------------
@@ -516,32 +529,30 @@ def report_to_dict(report: ExperimentReport) -> dict:
 
 
 def report_from_json(path) -> ExperimentReport:
-    """Rehydrate a stored report (enough structure to re-render outputs).
-    Raises ConfigurationError, naming the file, when it holds no report or
-    a block of the wrong JSON type."""
+    """Rebuild a stored report from its config, runs and errors with
+    ``run_study``'s builder, keeping its tool_version. Raises
+    ConfigurationError, naming the file, unless RunConfig accepts its config,
+    its experiment and hash match, and its runs derive every other block."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        report = ExperimentReport(
-            experiment=doc["experiment"], config=doc["config"],
-            config_hash=doc["config_hash"], tool_version=doc["tool_version"],
-            runs=doc.get("runs", []), aggregates=doc.get("aggregates", {}),
-            tests=doc.get("tests", {}),
-            correlations=doc.get("correlations", {}),
-            errors=doc.get("errors", []))
+        experiment, digest, tool_version = (
+            doc["experiment"], doc["config_hash"], doc["tool_version"])
+        runs, errors = doc.get("runs", []), doc.get("errors", [])
+        for name, rows in (("runs", runs), ("errors", errors)):
+            if not (isinstance(rows, list)
+                    and all(isinstance(row, dict) for row in rows)):
+                raise ConfigurationError(f"{name} is not a list of objects")
+        config = RunConfig(**{k: tuple(v) if isinstance(v, list) else v
+                              for k, v in {**doc["config"]}.items()})
+        if config.experiment != experiment or config_hash(config) != digest:
+            raise ConfigurationError(f"experiment {experiment!r} or hash "
+                                     f"{digest!r} does not match its config")
+        report = _report(config, runs, errors, tool_version)
+        report_to_dict(report)  # evaluates the metric table and violins
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigurationError(
             f"{path} is not a stored report: {exc!r}") from None
-    for name in ("runs", "errors"):
-        rows = getattr(report, name)
-        if not (isinstance(rows, list)
-                and all(isinstance(row, dict) for row in rows)):
-            raise ConfigurationError(f"{path} is not a stored report: "
-                                     f"{name} is not a list of objects")
-    for name in ("aggregates", "tests", "correlations"):
-        if not isinstance(getattr(report, name), dict):
-            raise ConfigurationError(f"{path} is not a stored report: "
-                                     f"{name} is not an object")
     return report
 
 

@@ -12,71 +12,13 @@ moment constants (0.9, 0.9, 1e-8), and all randomness (initialization,
 shuffling) derives from the config seed, so identical config and data
 reproduce identical parameters bit for bit.
 
-A training step computes no loss and allocates no Adam temporaries: each
-batch writes its scores into one epoch-long buffer in shuffled order, and
-Adam updates the parameters in place, in the operation order of the
-textbook formula. A float64 vector of at most ADAM_FLOATS_MAX entries,
-such as the logistic scorer's two, keeps its moments and values as Python
-floats, since numpy's per-call cost outweighs the arithmetic at that size.
-That keeps the bits of the array update: a CPython float operation and a
-numpy float64 ufunc round the same IEEE way, ``math.sqrt`` is correctly
-rounded like ``np.sqrt``, and neither fuses operations. A longer or
-float32 vector, such as the convnet's, updates in moment and scratch
-arrays allocated once per ``train`` call. The logistic forward pass
-computes its scores in one array, and the backward pass writes the
-gradient straight into its buffer. After each epoch, every batch's BCE is
-computed from that epoch's scores in one vectorized pass, equal bit for
-bit to ``bce`` of each batch. So a divergence (a non-finite loss) is
-reported at the end of the epoch in which it happened, and the rest of
-that epoch trains on non-finite parameters to no effect.
-
 Convolutions are im2col matrix products (Chellapilla, Puri & Simard 2006):
-each layer copies its 5x5 input patches into the rows of a matrix whose
-columns run in (di, dj, channel) order, so the kernel is a plain matrix
-and both the forward product and the kernel gradient are one GEMM. The
-input gradient adds the output gradient's product with each of the 25
-kernel taps back at the tap's offset. Each convolution block pools first:
-the raw product is max-pooled, keeping the routing masks when training,
-and the bias and ReLU are applied in place on the quarter-size result.
-That equals bias and ReLU before pooling, because rounding is monotone, so
-max(a) + c == max(a + c), and ReLU commutes with max. Training and
-inference share this one forward pass.
-
-Training scores each shuffled convnet mini-batch in parts: the batch is
-split by position into sub-batches of SUB_BATCH = 16 images, and a ragged
-batch ends in one shorter part. Each part runs the forward and backward
-pass on its own, with dL/dlogit divided by the length of the whole batch,
-and writes its gradient into a buffer of its own. The buffers are added in
-part order, so their sum is the batch gradient up to rounding, and its
-bits do not depend on which thread scored which part. The parts run on
-one thread pool per ``train`` call, of min(parts, usable cores) threads,
-with numpy's OpenBLAS pinned to one thread: a step is a chain of thin
-GEMMs, and two BLAS threads meet at a barrier in each of them, so a
-BLAS-threaded step stalls whenever another process holds the second core,
-while parts meet only at the sum. Trained parameters therefore depend
-neither on the core count nor on the machine's BLAS thread count. On one
-core, as in a pool worker, an epoch takes about as long in parts as in
-whole batches, so the parts pay off only where more cores are free.
-Logistic batches are one part each, scored in series.
-
-Inference (``predict_soft``) keeps the caller's input as it is, pixel
-bytes for images, and casts one batch of PREDICT_BATCH_BYTES of input at a
-time (55 images, or 65,536 scalar units), so memory holds a float batch
-per thread rather than a float copy of the input. The input is not
-converted to an array, so the colored-digit stack colors each batch on
-the thread that scores it. Convnet batches are
-scored on the usable cores as training's parts are (``_scoring_threads``),
-with numpy's OpenBLAS pinned to one thread for the call: a batch is
-mostly numpy copies and small GEMMs that BLAS threads barely speed up,
-while independent batches do scale, and with one BLAS thread the scores
-do not depend on the core count. Logistic batches are scored in
-series, since starting two threads cost more than the 3 ms that a
-100,000-unit logistic call takes. A pool worker process scores on one
-thread, since its siblings use the other cores. Before the first thread
-pool starts, glibc's malloc is limited to
-its main arena: each thread would otherwise get an arena of its own,
-which keeps the freed batch buffers while later phases allocate on top of
-them.
+the forward product and the kernel gradient of a layer are one GEMM each.
+Each convolution block pools before its bias and ReLU
+(``_conv_pool_relu``), and training and inference share this one forward
+pass. Training scores each convnet mini-batch in parts, and inference in
+batches, on the usable cores with numpy's OpenBLAS pinned to one thread
+(``train``, ``predict_soft``, ``_scoring_threads``).
 
 Compute dtypes are fixed per release: float64 for logistic,
 float32 for the convolutional network. Gradient checks can request
@@ -291,8 +233,10 @@ def _pool_backward(d_out, masks, in_shape):
 def _conv_pool_relu(x, kernel, bias, want_cache):
     """One convolution block, pooled first: 2x2 max pooling of the raw
     convolution product, then the bias and ReLU in place on the quarter-size
-    result. Returns the block output, and the patch matrix and pooling masks
-    when ``want_cache`` (None otherwise)."""
+    result. That equals bias and ReLU before pooling, because rounding is
+    monotone, so max(a) + c == max(a + c), and ReLU commutes with max.
+    Returns the block output, and the patch matrix and pooling masks when
+    ``want_cache`` (None otherwise)."""
     a, cols = _conv_product(x, kernel)
     p, masks = _pool_forward(a, want_masks=want_cache)
     np.maximum(np.add(p, bias, out=p), 0, out=p)
@@ -515,6 +459,15 @@ def _scoring_threads(arch: dict, parts: int):
     work, less than starting the threads costs. So does everything when
     numpy's BLAS cannot be pinned to one thread, whose own threads would
     then compete with the pool's for the cores.
+
+    Why one BLAS thread: a training step is a chain of thin GEMMs, in each
+    of which two BLAS threads meet at a barrier, so a BLAS-threaded step
+    stalls whenever another process holds the second core, while parts
+    meet only at their sum. An inference batch is mostly numpy copies and
+    small GEMMs that BLAS threads barely speed up, while independent
+    batches do scale. On one core an epoch takes about as long in parts
+    as in whole batches, so the parts pay off only where more cores are
+    free.
     """
     with _one_blas_thread() as pinned:
         threads = 1
@@ -559,8 +512,12 @@ def _adam(params: np.ndarray, lr: float):
     p = p - ((m / c1) lr) / (sqrt(v / c2) + eps), with c1 = 1 - b1**step
     and c2 = 1 - b2**step, left to right, on Python floats for a float64
     vector of at most ADAM_FLOATS_MAX entries (written back with one slice
-    assignment), else in arrays. Non-finite values pass silently on both
-    paths: no Python float operation here can raise, since c1, c2 and
+    assignment), else in arrays. At that size numpy's per-call cost
+    outweighs the arithmetic, and the two paths give the same bits: a
+    CPython float operation and a numpy float64 ufunc round the same IEEE
+    way, ``math.sqrt`` is correctly rounded like ``np.sqrt``, and neither
+    fuses operations. Non-finite values pass silently on both paths: no
+    Python float operation here can raise, since c1, c2 and
     sqrt(v / c2) + eps are positive or NaN, and v is never negative.
     """
     if params.dtype == np.float64 and len(params) <= ADAM_FLOATS_MAX:
@@ -603,8 +560,9 @@ def train(d_s: Dataset, config: TrainConfig) -> Predictor:
     on the binary cross-entropy.
 
     Initialization and epoch shuffling both derive from config.seed through
-    independent spawned streams. A convnet mini-batch is scored in parts of
-    SUB_BATCH images, whose gradients are added in part order, and numpy's
+    independent spawned streams. A convnet mini-batch is split by position
+    into parts of SUB_BATCH images (a ragged batch ends in one shorter
+    part), whose gradients are added in part order, and numpy's
     OpenBLAS runs on one thread, so the result is reproducible bit for bit
     whatever the number of scoring threads or BLAS threads.
 
@@ -612,7 +570,8 @@ def train(d_s: Dataset, config: TrainConfig) -> Predictor:
     epoch from its scores, and their mean goes into the loss trace. Adam
     allocates nothing per step (``_adam``). Raises TrainingError at the
     end of the epoch in which the loss became non-finite (divergence),
-    reporting that epoch.
+    reporting that epoch; the rest of that epoch trains on non-finite
+    parameters to no effect.
     """
     if len(d_s) == 0:
         raise TrainingError("training pool is empty")
@@ -681,7 +640,9 @@ def predict_soft(predictor: Predictor, xs) -> np.ndarray:
 
     ``xs`` is not converted: an array-like with a shape whose slices are
     arrays, such as the colored-digit stack, is sliced one batch of
-    PREDICT_BATCH_BYTES at a time by the thread that scores it. The whole
+    PREDICT_BATCH_BYTES of compute dtype (55 images, or 65,536 scalar
+    units) at a time by the thread that scores it, so memory holds a float
+    batch per thread rather than a float copy of the input. The whole
     input's shape is checked before any batch is scored. Convnet batches
     are scored on the usable cores, with numpy's OpenBLAS pinned to one
     thread, so the scores do not depend on the core count.

@@ -333,15 +333,8 @@ def _stored_report(**blocks) -> bytes:
      "runs is not a list of objects"),
     ("report", "--input", _stored_report(errors=[3]),
      "errors is not a list of objects"),
-    ("report", "--input", _stored_report(aggregates=[]),
-     "aggregates is not an object"),
-    ("report", "--input", _stored_report(tests=1), "tests is not an object"),
-    ("report", "--input", _stored_report(correlations=[["all", 5]]),
-     "correlations is not an object"),
 ], ids=["not-json", "json-list", "no-experiment", "report-not-utf8",
-        "config-not-utf8", "runs-not-a-list", "errors-not-objects",
-        "aggregates-not-an-object", "tests-not-an-object",
-        "correlations-not-an-object"])
+        "config-not-utf8", "runs-not-a-list", "errors-not-objects"])
 def test_unreadable_input_file_fails_with_json(tmp_path, capsys, command,
                                                flag, content, named):
     given = tmp_path / "given"
@@ -349,6 +342,112 @@ def test_unreadable_input_file_fails_with_json(tmp_path, capsys, command,
     out = tmp_path / "out"
     code, _, err = run_cli([command, flag, str(given), "--out", str(out)],
                            capsys)
+    assert code == 1
+    summary = json.loads(err)
+    assert summary["error"] == "ConfigurationError"
+    assert str(given) in summary["message"]
+    assert named in summary["message"]
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def stored_reports(tmp_path_factory, digit_archive_paths):
+    """Output directories of a real ``simulate`` and a real ``experiment``
+    sweep; the digit sweep runs on two workers and has enough runs per
+    scheme group for every correlations file."""
+    images, labels = digit_archive_paths
+    out = tmp_path_factory.mktemp("stored")
+    argvs = {
+        "simulate": ["simulate", "--sizes", "1000,1500", "--seeds", "2"],
+        "experiment": ["experiment", "--mnist-images", images,
+                       "--mnist-labels", labels, "--seeds", "3",
+                       "--epochs", "1", "--workers", "2"],
+    }
+    for command, argv in argvs.items():
+        assert cli.main([*argv, "--out", str(out / command)]) == 0
+    return {command: out / command for command in argvs}
+
+
+def _files(directory) -> dict:
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+def test_digit_report_re_renders_every_file(tmp_path, capsys, stored_reports):
+    stored = stored_reports["experiment"]
+    assert {"metrics.csv", "violins.csv", "correlations_all.csv",
+            "correlations_random.csv", "correlations_biased.csv"} \
+        <= set(_files(stored))
+    code, _, _ = run_cli(["report", "--input", str(stored / "report.json"),
+                          "--out", str(tmp_path / "again")], capsys)
+    assert code == 0
+    assert _files(tmp_path / "again") == _files(stored)
+
+
+@pytest.mark.parametrize("command", ["simulate", "experiment"])
+@pytest.mark.parametrize("value", [[], 1, [["all", 5]]],
+                         ids=["list", "number", "pairs"])
+def test_report_recomputes_the_derived_blocks(tmp_path, capsys, command,
+                                              value, stored_reports):
+    stored = stored_reports[command]
+    doc = json.loads((stored / "report.json").read_text())
+    for block in ("aggregates", "tests", "correlations", "metric_table",
+                  "violins"):
+        doc[block] = value
+    given = tmp_path / "given.json"
+    given.write_text(json.dumps(doc))
+    code, _, _ = run_cli(["report", "--input", str(given),
+                          "--out", str(tmp_path / "again")], capsys)
+    assert code == 0
+    assert _files(tmp_path / "again") == _files(stored)
+
+
+def _without_seed(doc):
+    del doc["runs"][0]["seed"]
+
+
+def _edit_config(**fields):
+    return lambda doc: doc["config"].update(fields)
+
+
+def _edit_runs(**fields):
+    def edit(doc):
+        for run in doc["runs"]:
+            run.update(fields)
+    return edit
+
+
+@pytest.mark.parametrize("command, edit, named", [
+    ("experiment", _without_seed, "KeyError('seed')"),
+    ("experiment", lambda doc: doc.update(runs=[{}]), "KeyError('scheme')"),
+    ("simulate", lambda doc: doc.update(runs=[{}]), "KeyError('n')"),
+    ("experiment", lambda doc: doc.update(config_hash="0" * 16),
+     "hash '0000000000000000' does not match its config"),
+    ("simulate", lambda doc: doc.update(experiment="mnist_bias"),
+     "experiment 'mnist_bias' or hash"),
+    ("experiment", _edit_config(epochs=0), "epochs must be >= 1, got 0"),
+    ("simulate", _edit_config(seeds=[0.5]), "seeds must be >= 0, got 0.5"),
+    ("simulate", _edit_config(workers=2), "unexpected keyword argument"),
+    ("simulate", lambda doc: doc.update(config=[1]), "not a mapping"),
+    ("experiment", lambda doc: doc["runs"][0].update(
+        terb_full_discretized="abc"), "could not convert string to float"),
+    ("experiment", lambda doc: doc["runs"][0].update(scheme=5),
+     "KeyError(5)"),
+    ("experiment", _edit_runs(accuracy_full=[0.5]), "with a sequence"),
+    ("simulate", _edit_runs(ead_soft=[0.5]), "with a sequence"),
+], ids=["digit-run-without-seed", "digit-run-empty", "cell-empty",
+        "edited-hash", "other-experiment", "epochs-zero", "fractional-seed",
+        "unknown-config-field", "config-not-an-object", "text-terb",
+        "unknown-scheme", "digit-metric-a-list", "cell-metric-a-list"])
+def test_malformed_stored_report_fails_before_output(tmp_path, capsys,
+                                                     command, edit, named,
+                                                     stored_reports):
+    doc = json.loads((stored_reports[command] / "report.json").read_text())
+    edit(doc)
+    given = tmp_path / "given.json"
+    given.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code, _, err = run_cli(["report", "--input", str(given),
+                            "--out", str(out)], capsys)
     assert code == 1
     summary = json.loads(err)
     assert summary["error"] == "ConfigurationError"

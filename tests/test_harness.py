@@ -47,6 +47,17 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError, match="epochs must be >= 1"):
             RunConfig(experiment=MNIST_EXPERIMENT, epochs=0, **paths)
 
+    @pytest.mark.parametrize("field, value, named", [
+        ("seeds", (0.5,), "seeds must be >= 0, got 0.5"),
+        ("seeds", ("3",), "seeds must be >= 0, got 3"),
+        ("validation_size", 2.5, "validation_size must be >= 1, got 2.5"),
+    ], ids=["fractional-seed", "text-seed", "fractional-validation-size"])
+    def test_rejects_non_integer_seeds_and_validation_size(self, field,
+                                                           value, named):
+        with pytest.raises(ConfigurationError, match=named):
+            RunConfig(experiment=MNIST_EXPERIMENT, mnist_images="images.idx",
+                      mnist_labels="labels.idx", **{field: value})
+
     def test_digit_study_requires_archive_paths(self):
         with pytest.raises(ConfigurationError, match="mnist_images"):
             RunConfig(experiment=MNIST_EXPERIMENT, mnist_images="images.idx")
