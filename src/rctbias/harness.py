@@ -15,13 +15,9 @@ Two studies are wired up:
 Each run derives independent sub-seeds (generation, annotation,
 validation, training) from its run seed through a SeedSequence, so no two
 stages share a random stream. Runs are pure given their task description.
-``run_study`` runs the study its RunConfig names through one sweep
-(``_sweep``): in-process with one worker or one task, otherwise on a
-process pool of ``workers`` processes, or one per task when there are
-fewer tasks. Tasks are ordered by their identity keys, so reports do not
-depend on scheduling or on the worker count. A run that raises, or that
-kills its own pool worker, is recorded as a structured error entry
-without aborting the sweep.
+``run_study`` runs the study its RunConfig names through one sweep;
+``_sweep`` states where its tasks run, in what order, and how a failed
+run is recorded.
 
 The config hash covers the experiment's identity (its RunConfig); how a
 sweep is executed (the worker count) and where it is written are not part
@@ -58,6 +54,10 @@ MNIST_SCHEMES = {
 
 CONVERGENCE_EXPERIMENT = "convergence"
 MNIST_EXPERIMENT = "mnist_bias"
+
+# the keys that name a run of each study, in the order runs are reported
+IDENTITY = {CONVERGENCE_EXPERIMENT: ("n", "seed"),
+            MNIST_EXPERIMENT: ("scheme", "seed")}
 
 # each study's predictor and the training settings a RunConfig leaves None
 TRAINING_DEFAULTS = {
@@ -195,46 +195,57 @@ def config_hash(config: RunConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _outcomes(run, tasks, workers, initializer, initargs):
-    """(task, call returning the task's result) pairs in task order; the
-    call raises what the run raised, or why its pool worker failed. A dead
-    worker breaks its whole pool, so each task the pool left unfinished is
-    run again alone, on a fresh pool of one worker."""
+def _outcomes(run, tasks, workers, cost, initializer, initargs):
+    """(task, call returning the task's result) pairs in task order, run
+    as ``_sweep`` states; the call raises what the run raised, or why its
+    pool worker failed. A dead worker breaks its whole pool, so each task
+    the pool left unfinished is run again alone, on a fresh pool of one
+    worker."""
     if workers == 1:
         if initializer is not None:
             initializer(*initargs)
         for task in tasks:
             yield task, functools.partial(run, task)
         return
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
-                             initializer=initializer,
-                             initargs=initargs) as pool:
-        futures = [pool.submit(run, task) for task in tasks]
+    with models._one_blas_thread(), \
+            ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
+                                initializer=initializer,
+                                initargs=initargs) as pool:
+        futures = [None] * len(tasks)
+        for i in sorted(range(len(tasks)), key=lambda i: cost(tasks[i]),
+                        reverse=True):
+            futures[i] = pool.submit(run, tasks[i])
         for task, future in zip(tasks, futures):
             if len(tasks) > 1 and isinstance(future.exception(),
                                              BrokenProcessPool):
-                yield from _outcomes(run, [task], workers, initializer,
+                yield from _outcomes(run, [task], workers, cost, initializer,
                                      initargs)
             else:
                 yield task, future.result
 
 
-def _sweep(run, tasks, identity, workers, initializer=None, initargs=()):
+def _sweep(run, tasks, identity, workers, cost, initializer=None,
+           initargs=()):
     """Run every task through ``run``; returns (results, errors), both in
     the order of the tasks' ``identity`` keys.
 
     One worker, or one task, runs in this process, after calling
-    ``initializer``; more run on a process pool of min(workers, tasks)
-    processes, each of which calls it. Each task is its own future, so a
-    task that raises, or whose worker dies even when it runs alone
+    ``initializer``, in identity order. More run on a process pool of
+    min(workers, tasks) processes, each of which calls it. The pool is
+    given the tasks longest first, by ``cost(task)`` in descending order
+    (ties in identity order), so the largest runs do not start last and
+    leave one worker finishing them alone. Each task is its own future, so
+    a task that raises, or whose worker dies even when it runs alone
     (BrokenProcessPool), becomes an error record of its identity keys, the
     exception type and its message, and the rest of the sweep still
-    completes.
+    completes. Neither the order in which tasks run nor the worker count
+    changes a result or the order of the results.
     """
     tasks = sorted(tasks, key=lambda task: [task[k] for k in identity])
     workers = min(workers, len(tasks))
     results, errors = [], []
-    for task, outcome in _outcomes(run, tasks, workers, initializer, initargs):
+    for task, outcome in _outcomes(run, tasks, workers, cost, initializer,
+                                   initargs):
         try:
             results.append(outcome())
         except Exception as exc:  # record-and-continue
@@ -476,8 +487,9 @@ def run_study(config: RunConfig, workers: int = 1) -> ExperimentReport:
     if config.experiment == CONVERGENCE_EXPERIMENT:
         tasks = [{"n": int(n), "seed": seed, "config": config}
                  for n in config.sample_sizes for seed in config.seeds]
-        runs, errors = _sweep(_convergence_cell, tasks, ("n", "seed"),
-                              workers)
+        runs, errors = _sweep(_convergence_cell, tasks,
+                              IDENTITY[CONVERGENCE_EXPERIMENT], workers,
+                              cost=lambda task: task["n"])
     else:
         # loaded once, before any run, so a bad archive is a bad input
         archive = mnist.load_idx(config.mnist_images, config.mnist_labels)
@@ -486,7 +498,8 @@ def run_study(config: RunConfig, workers: int = 1) -> ExperimentReport:
                  for scheme in config.schemes for seed in config.seeds]
         try:
             runs, errors = _sweep(
-                _mnist_run, tasks, ("scheme", "seed"), workers,
+                _mnist_run, tasks, IDENTITY[MNIST_EXPERIMENT], workers,
+                cost=lambda task: MNIST_SCHEMES[task["scheme"]][1],
                 initializer=_init_mnist_worker, initargs=(archive,))
         finally:
             _init_mnist_worker(None)  # release what an in-process sweep set
@@ -528,11 +541,34 @@ def report_to_dict(report: ExperimentReport) -> dict:
     return _sanitize(doc)
 
 
+def _check_run_fields(run: dict, experiment: str) -> None:
+    """Raise ValueError unless ``run`` holds its study's identity keys, its
+    ``seed`` is an integer >= 0, its ``n`` an integer >= 1, and every other
+    field but a digit run's ``scheme`` (which the aggregation looks up) is
+    a number or null."""
+    identity = IDENTITY[experiment]
+    for name in identity:
+        if name not in run:
+            raise ValueError(f"a run has no {name}")
+    for name, value in run.items():
+        number = isinstance(value, (int, float)) \
+            and not isinstance(value, bool)
+        if name in ("seed", "n"):
+            least = int(name == "n")
+            if not (number and isinstance(value, int) and value >= least):
+                raise ValueError(f"run field {name} must be an integer >= "
+                                 f"{least}, got {value!r}")
+        elif name not in identity and not (value is None or number):
+            raise ValueError(f"run field {name} must be a number or null, "
+                             f"got {value!r}")
+
+
 def report_from_json(path) -> ExperimentReport:
     """Rebuild a stored report from its config, runs and errors with
     ``run_study``'s builder, keeping its tool_version. Raises
     ConfigurationError, naming the file, unless RunConfig accepts its config,
-    its experiment and hash match, and its runs derive every other block."""
+    its experiment and hash match, its runs derive every other block, and
+    each run's fields have their types (``_check_run_fields``)."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -550,6 +586,8 @@ def report_from_json(path) -> ExperimentReport:
                                      f"{digest!r} does not match its config")
         report = _report(config, runs, errors, tool_version)
         report_to_dict(report)  # evaluates the metric table and violins
+        for run in runs:
+            _check_run_fields(run, experiment)
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigurationError(
             f"{path} is not a stored report: {exc!r}") from None

@@ -293,31 +293,36 @@ def prepare_inputs(arch: dict, xs, dtype=None) -> np.ndarray:
     return x
 
 
-def _forward(arch, p, x, want_cache):
+def _forward(arch, p, x, want_cache, out=None):
+    """Scores of the rows of ``x``, and the cache ``_backward`` needs when
+    ``want_cache`` (None otherwise). The scores are written into ``out``
+    when it is given: the last layer's product is computed there, and the
+    bias and sigmoid are applied in place."""
     if arch["kind"] == "logistic":
-        z = x @ p["w"]
-        z += p["b"]
-        expit(z, out=z)
-        return z, (x, z) if want_cache else None
-    p1, cols1, masks1 = _conv_pool_relu(x, p["k1"], p["c1"], want_cache)
-    p2, cols2, masks2 = _conv_pool_relu(p1, p["k2"], p["c2"], want_cache)
-    flat = p2.reshape(x.shape[0], -1)
-    a3 = flat @ p["w3"] + p["b3"]
-    h3 = np.maximum(a3, 0)
-    prob = expit(h3 @ p["w4"] + p["b4"])
-    if not want_cache:
-        return prob, None
-    return prob, (cols1, masks1, p1, cols2, masks2, p2, flat, a3, h3, prob)
+        features, w, b = x, p["w"], p["b"]
+        cache = (x,)
+    else:
+        p1, cols1, masks1 = _conv_pool_relu(x, p["k1"], p["c1"], want_cache)
+        p2, cols2, masks2 = _conv_pool_relu(p1, p["k2"], p["c2"], want_cache)
+        flat = p2.reshape(x.shape[0], -1)
+        a3 = flat @ p["w3"] + p["b3"]
+        features, w, b = np.maximum(a3, 0), p["w4"], p["b4"]
+        cache = (cols1, masks1, p1, cols2, masks2, p2, flat, a3, features)
+    prob = np.matmul(features, w, out=out)
+    prob += b
+    expit(prob, out=prob)
+    return prob, (*cache, prob) if want_cache else None
 
 
-def _backward(arch, p, cache, y, divisor, grads):
+def _backward(arch, p, cache, y, divisor, grads, dz=None):
     """Fill ``grads`` (dict of arrays shaped like the params) with the
     gradient of the BCE summed over ``y`` and divided by ``divisor``; uses
-    dL/dlogit = (p - y) / divisor. With ``divisor == len(y)`` that is the
-    gradient of the mean; a part of a batch passes the whole batch's
-    length, so the parts' gradients add up to the batch's."""
-    prob = cache[-1]
-    dz = (prob - y) / divisor
+    dL/dlogit = (p - y) / divisor, computed into ``dz`` when it is given.
+    With ``divisor == len(y)`` that is the gradient of the mean; a part of
+    a batch passes the whole batch's length, so the parts' gradients add
+    up to the batch's."""
+    dz = np.subtract(cache[-1], y, out=dz)
+    dz /= divisor
     if arch["kind"] == "logistic":
         x, _ = cache
         np.matmul(x.T, dz, out=grads["w"])
@@ -336,11 +341,22 @@ def _backward(arch, p, cache, y, divisor, grads):
     _conv_pool_relu_backward(dp1, p1, masks1, cols1, grads["k1"], grads["c1"])
 
 
-def _bce_terms(prob, y):
+def _bce_terms(prob, y, scratch=None):
     """Per-unit log-likelihood terms of the BCE, with the probabilities
-    clamped to [1e-7, 1 - 1e-7] before the logs."""
-    prob = np.clip(prob, PROB_CLIP, 1.0 - PROB_CLIP)
-    return y * np.log(prob) + (1 - y) * np.log1p(-prob)
+    clamped to [1e-7, 1 - 1e-7] before the logs. They are computed in
+    ``scratch``, three arrays shaped like ``prob`` (allocated when None),
+    and returned in the first."""
+    if scratch is None:
+        scratch = [np.empty(np.shape(prob), np.result_type(prob, y, 1.0))
+                   for _ in range(3)]
+    terms, clipped, other = scratch
+    np.clip(prob, PROB_CLIP, 1.0 - PROB_CLIP, out=clipped)
+    np.log(clipped, out=terms)
+    terms *= y                                      # y log(p)
+    np.log1p(np.negative(clipped, out=clipped), out=clipped)
+    np.multiply(np.subtract(1, y, out=other), clipped, out=other)
+    terms += other                                  # + (1 - y) log(1 - p)
+    return terms
 
 
 def bce(prob, y) -> float:
@@ -349,12 +365,13 @@ def bce(prob, y) -> float:
     return float(-_bce_terms(prob, y).mean())
 
 
-def _batch_losses(prob, y, batch):
+def _batch_losses(prob, y, batch, scratch=None):
     """``bce`` of each run of ``batch`` consecutive units, the last run
-    possibly shorter, as one array of the input dtype. Each row sum is the
-    same pairwise sum that ``mean`` makes of a batch on its own, so every
-    loss equals that batch's ``bce`` bit for bit."""
-    terms = _bce_terms(prob, y)
+    possibly shorter, as one array of the input dtype, with the terms
+    computed in ``scratch`` (see ``_bce_terms``). Each row sum is the same
+    pairwise sum that ``mean`` makes of a batch on its own, so every loss
+    equals that batch's ``bce`` bit for bit."""
+    terms = _bce_terms(prob, y, scratch)
     full = len(terms) - len(terms) % batch
     losses = -(terms[:full].reshape(-1, batch).sum(axis=1) / batch)
     if full < len(terms):
@@ -408,13 +425,22 @@ def _numpy_openblas():
 @contextlib.contextmanager
 def _one_blas_thread():
     """Pin numpy's OpenBLAS to one thread inside the block and restore the
-    previous count after it. Yields whether it could."""
+    previous count after it. Yields whether it could.
+
+    A count that is already 1 is left alone. OpenBLAS stops its threads
+    before a fork, and setting any count restarts them; a restarted thread
+    spins for a while, taking a core from the sweep. A pool worker forked
+    under this pin (``harness._outcomes``) so never starts one.
+    """
     blas = _numpy_openblas()
     if blas is None:
         yield False
         return
     get, set_ = blas
     previous = get()
+    if previous == 1:
+        yield True
+        return
     set_(1)
     try:
         yield True
@@ -595,14 +621,18 @@ def train(d_s: Dataset, config: TrainConfig) -> Predictor:
     part_grads = [unpack_params(flat, arch) for flat in flats]
     adam = _adam(params, config.learning_rate)
     prob = np.empty(n, dtype=dtype)  # the epoch's scores, in shuffled order
+    # a step's loss gradients, part i's at i * sub; the epoch loss's terms
+    dz = np.empty(min(config.batch_size, n), dtype=dtype)
+    scratch = [np.empty(n, dtype=dtype) for _ in range(3)]
     step = 0
     trace = []
 
     def score_part(task):
         i, lo, hi, batch = task
-        out, cache = _forward(arch, p, x[order[lo:hi]], want_cache=True)
-        _backward(arch, p, cache, y_order[lo:hi], batch, part_grads[i])
-        prob[lo:hi] = out
+        _, cache = _forward(arch, p, x[order[lo:hi]], want_cache=True,
+                            out=prob[lo:hi])
+        _backward(arch, p, cache, y_order[lo:hi], batch, part_grads[i],
+                  dz[i * sub:i * sub + hi - lo])
 
     # divergence is detected through the loss; silence the float warnings
     # the overflowing intermediates would otherwise spray
@@ -623,7 +653,8 @@ def train(d_s: Dataset, config: TrainConfig) -> Predictor:
                         grad_flat += flat
                 step += 1
                 adam(grad_flat, step)
-            losses = _batch_losses(prob, y_order, config.batch_size)
+            losses = _batch_losses(prob, y_order, config.batch_size,
+                                   scratch)
             if not np.isfinite(losses).all():
                 raise TrainingError(
                     f"training diverged (non-finite loss) at epoch {epoch}")

@@ -79,10 +79,9 @@ class Dataset:
                 raise ConfigurationError(
                     f"column {name} has length {len(col)}, expected {n}")
         for name, col in (("t", t), ("y", y), ("s", s)):
-            vals = np.unique(col)
-            if not np.isin(vals, (0, 1)).all():
-                raise ConfigurationError(
-                    f"column {name} must be binary, found values {vals[:5]}")
+            if not ((col == 0) | (col == 1)).all():
+                raise ConfigurationError(f"column {name} must be binary, "
+                                         f"found values {np.unique(col)[:5]}")
         self.w, self.t, self.x, self.y, self.s = w, t, x, y, s
         for col in (w, t, y, s):
             col.setflags(write=False)
@@ -109,25 +108,26 @@ class Dataset:
         return Dataset(self.w, self.t, self.x, self.y, np.asarray(s))
 
 
-def _uniforms(rng: np.random.Generator, shape) -> np.ndarray:
-    u = rng.random(shape)
-    return np.clip(u, _U_FLOOR, None)
-
-
 def sample_rct(config: ScmConfig) -> Dataset:
     """Draw a dataset from the synthetic RCT.
 
     All units start with annotation flag s=1; annotation assignment is a
     separate explicit pass (see :mod:`rctbias.annotation`). Deterministic
-    given the config seed.
+    given the config seed. The four rows of uniforms are clamped in place
+    and rows 1-3 become the normals ``w``, the observation noise and the
+    outcome noise, so ``w`` is a view of the uniforms' block.
     """
     rng = np.random.Generator(np.random.Philox(key=config.seed))
-    u = _uniforms(rng, (4, config.n))
+    u = rng.random((4, config.n))
+    np.maximum(u, _U_FLOOR, out=u)
     t = (u[0] < config.p_t).astype(np.int8)
-    w = ndtri(u[1])
-    x = t + w + ndtri(u[2])
-    noise_y = np.sqrt(config.sigma2_y) * ndtri(u[3])
-    y = ((x + noise_y) >= 0.0).astype(np.int8)
+    ndtri(u[1:], out=u[1:])
+    w, noise_x, noise_y = u[1:]
+    x = t + w
+    x += noise_x              # (t + w) + noise: another order moves bits
+    noise_y *= np.sqrt(config.sigma2_y)
+    noise_y += x              # the outcome's latent x + noise_y
+    y = (noise_y >= 0.0).astype(np.int8)
     s = np.ones(config.n, dtype=np.int8)
     return Dataset(w, t, x, y, s)
 

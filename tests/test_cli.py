@@ -416,6 +416,10 @@ def _edit_runs(**fields):
     return edit
 
 
+def _edit_first_run(**fields):
+    return lambda doc: doc["runs"][0].update(fields)
+
+
 @pytest.mark.parametrize("command, edit, named", [
     ("experiment", _without_seed, "KeyError('seed')"),
     ("experiment", lambda doc: doc.update(runs=[{}]), "KeyError('scheme')"),
@@ -434,10 +438,50 @@ def _edit_runs(**fields):
      "KeyError(5)"),
     ("experiment", _edit_runs(accuracy_full=[0.5]), "with a sequence"),
     ("simulate", _edit_runs(ead_soft=[0.5]), "with a sequence"),
+    # fields that nothing derives from are checked by type
+    ("experiment", _edit_first_run(seed="abc"),
+     "run field seed must be an integer >= 0, got 'abc'"),
+    ("experiment", _edit_first_run(seed=[]),
+     "run field seed must be an integer >= 0, got []"),
+    ("experiment", _edit_first_run(seed={}),
+     "run field seed must be an integer >= 0, got {}"),
+    ("experiment", _edit_first_run(final_train_loss="abc"),
+     "run field final_train_loss must be a number or null, got 'abc'"),
+    ("experiment", _edit_first_run(teb_full_discretized="abc"),
+     "run field teb_full_discretized must be a number or null, got 'abc'"),
+    ("experiment", _edit_first_run(ead_truth_full="abc"),
+     "run field ead_truth_full must be a number or null, got 'abc'"),
+    ("experiment", _edit_first_run(designed_ate=True),
+     "run field designed_ate must be a number or null, got True"),
+    ("simulate", _edit_first_run(seed="abc"),
+     "run field seed must be an integer >= 0, got 'abc'"),
+    ("simulate", _edit_first_run(seed=[]),
+     "run field seed must be an integer >= 0, got []"),
+    ("simulate", _edit_first_run(seed={}),
+     "run field seed must be an integer >= 0, got {}"),
+    ("simulate", _edit_first_run(seed=-1),
+     "run field seed must be an integer >= 0, got -1"),
+    ("simulate", _without_seed, "a run has no seed"),
+    ("simulate", _edit_runs(n=0), "run field n must be an integer >= 1, "
+     "got 0"),
+    ("simulate", _edit_runs(n=1000.0), "run field n must be an integer "
+     ">= 1, got 1000.0"),
+    ("simulate", _edit_first_run(bce=[1, 2]),
+     "run field bce must be a number or null, got [1, 2]"),
+    ("simulate", _edit_first_run(accuracy="abc"),
+     "run field accuracy must be a number or null, got 'abc'"),
+    ("simulate", _edit_first_run(teb_soft={}),
+     "run field teb_soft must be a number or null, got {}"),
 ], ids=["digit-run-without-seed", "digit-run-empty", "cell-empty",
         "edited-hash", "other-experiment", "epochs-zero", "fractional-seed",
         "unknown-config-field", "config-not-an-object", "text-terb",
-        "unknown-scheme", "digit-metric-a-list", "cell-metric-a-list"])
+        "unknown-scheme", "digit-metric-a-list", "cell-metric-a-list",
+        "digit-seed-text", "digit-seed-list", "digit-seed-object",
+        "digit-final-loss-text", "digit-teb-discretized-text",
+        "digit-ead-truth-text", "digit-field-boolean", "cell-seed-text",
+        "cell-seed-list", "cell-seed-object", "cell-seed-negative",
+        "cell-without-seed", "cell-n-zero", "cell-n-float",
+        "cell-field-a-list", "cell-field-text", "cell-field-object"])
 def test_malformed_stored_report_fails_before_output(tmp_path, capsys,
                                                      command, edit, named,
                                                      stored_reports):

@@ -1,12 +1,15 @@
 import csv
 import hashlib
 import json
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 from rctbias import ConfigurationError
-from rctbias import harness, metrics
+from rctbias import harness, metrics, models
 from rctbias.harness import (CONVERGENCE_EXPERIMENT, MNIST_EXPERIMENT,
                              RunConfig, emit_report, report_from_json,
                              run_study)
@@ -202,6 +205,75 @@ def test_all_runs_failed_still_emits_an_empty_table(tmp_path,
     assert doc["metric_table"] == []
     assert doc["violins"] == {}
     assert "workers" not in doc["config"] and "output_dir" not in doc["config"]
+
+
+def _echo_or_raise(task):
+    if task["fails"]:
+        raise ValueError(f"task {task['key']} fails")
+    return task["key"]
+
+
+def test_pool_is_given_the_largest_task_first(monkeypatch):
+    submitted = []
+    submit = ProcessPoolExecutor.submit
+
+    def recording(pool, fn, task):
+        submitted.append(task["key"])
+        return submit(pool, fn, task)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", recording)
+    costs = {"a": 1, "b": 5, "c": 3, "d": 5, "e": 2, "f": 0}
+    tasks = [{"key": key, "cost": cost, "fails": key in ("b", "e")}
+             for key, cost in reversed(costs.items())]
+    results, errors = harness._sweep(_echo_or_raise, tasks, ("key",),
+                                     workers=2, cost=lambda t: t["cost"])
+    # descending cost, ties in identity order
+    assert submitted == ["b", "d", "c", "e", "a", "f"]
+    # results and errors still come back in identity order
+    assert results == ["a", "c", "d", "f"]
+    assert [(e["key"], e["error"], e["message"]) for e in errors] == [
+        ("b", "ValueError", "task b fails"),
+        ("e", "ValueError", "task e fails")]
+
+
+def _blas_threads_after_a_cell(task):
+    harness._convergence_cell(task)
+    return (models._numpy_openblas()[0](),
+            len(os.listdir("/proc/self/task")))
+
+
+def test_pool_workers_start_no_blas_threads():
+    # workers are forked with numpy's OpenBLAS at one thread, so a run
+    # never restarts the BLAS threads that the fork stopped
+    blas = models._numpy_openblas()
+    if blas is None or not os.path.isdir("/proc/self/task") \
+            or multiprocessing.get_start_method() != "fork":
+        pytest.skip("needs numpy's bundled OpenBLAS, /proc and fork")
+    before = blas[0]()
+    config = RunConfig(experiment=CONVERGENCE_EXPERIMENT)
+    tasks = [{"n": 1000, "seed": seed, "config": config} for seed in (0, 1)]
+    results, errors = harness._sweep(_blas_threads_after_a_cell, tasks,
+                                     ("n", "seed"), workers=2,
+                                     cost=lambda task: task["n"])
+    assert errors == []
+    assert results == [(1, 1), (1, 1)]   # one BLAS thread, one OS thread
+    assert blas[0]() == before
+
+
+def test_simulate_report_does_not_depend_on_the_worker_count(tmp_path):
+    # cells of three sizes on two workers run largest first; the report and
+    # its re-rendering are the same files as in one process
+    config = RunConfig(experiment=CONVERGENCE_EXPERIMENT, seeds=(0, 1, 2),
+                       sample_sizes=(1000, 4000, 2000))
+    trees = []
+    for workers in (1, 2):
+        out, again = tmp_path / f"w{workers}", tmp_path / f"w{workers}-again"
+        emit_report(run_study(config, workers=workers), out)
+        emit_report(report_from_json(out / "report.json"), again)
+        trees += [{p.name: p.read_bytes() for p in tree.iterdir()}
+                  for tree in (out, again)]
+    assert set(trees[0]) == {"report.json", "runs.csv"}
+    assert all(tree == trees[0] for tree in trees)
 
 
 class _Interrupt(BaseException):

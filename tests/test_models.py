@@ -369,15 +369,25 @@ class TestTrain:
             set_(before)
         assert threading.active_count() == threads
 
-    @pytest.mark.parametrize("kind, n, batch_size", [
-        ("logistic", 1000, 256),  # a ragged last batch of 232
-        ("logistic", 512, 64),    # full batches only
+    @pytest.mark.parametrize("n, features, batch_size, epochs", [
+        # a ragged last batch of 232
+        pytest.param(1000, 1, 256, 3, id="logistic-1000-256"),
+        # full batches only
+        pytest.param(512, 1, 64, 3, id="logistic-512-64"),
+        # fewer units than one batch: every step is the whole pool
+        pytest.param(100, 1, 256, 3, id="logistic-100-256"),
+        pytest.param(1000, 3, 64, 3, id="logistic-3-features"),
+        # the convergence study's largest cell, two of its epochs
+        pytest.param(100000, 1, 256, 2, id="logistic-study-shape"),
     ])
-    def test_equals_the_per_step_loop(self, kind, n, batch_size):
+    def test_equals_the_per_step_loop(self, n, features, batch_size, epochs):
         ds = sample_rct(ScmConfig(0.5, 1.0, n, seed=2))
-        config = TrainConfig(kind, learning_rate=0.05, epochs=3,
+        if features > 1:
+            ds = scalar_dataset(np.column_stack([ds.x, ds.w, ds.t]), ds.y)
+        config = TrainConfig("logistic", learning_rate=0.05, epochs=epochs,
                              batch_size=batch_size, seed=5)
         got, want = train(ds, config), per_step_train(ds, config)
+        assert got.architecture["in_dim"] == features
         assert np.array_equal(got.params, want.params)
         assert got.loss_trace == want.loss_trace
 
@@ -391,6 +401,30 @@ class TestTrain:
         got, want = train(rct, config), per_step_train(rct, config)
         assert np.array_equal(got.params, want.params)
         assert got.loss_trace == want.loss_trace
+
+    def test_parts_of_a_step_write_to_disjoint_memory(self, monkeypatch):
+        # a step's parts run on concurrent threads, each writing its scores
+        # and loss gradient into buffers allocated once per train
+        written = []
+        backward = models._backward
+
+        def recording(arch, p, cache, y, divisor, grads, dz=None):
+            written.append((cache[-1], dz))
+            backward(arch, p, cache, y, divisor, grads, dz)
+
+        monkeypatch.setattr(models, "_backward", recording)
+        images, labels = make_digit_images(250, seed=1)
+        rct = rb.generate(mnist.MnistArchive(images, labels),
+                          rb.build_population(3), seed=0).as_rct_dataset()
+        train(rct, TrainConfig("convnet", epochs=1, batch_size=40, seed=3))
+        # six batches of 40 in parts of 16, 16 and 8, then one of 10
+        assert [len(prob) for prob, _ in written[18:]] == [10]
+        for step in range(6):
+            parts = written[3 * step:3 * step + 3]
+            assert sorted(len(prob) for prob, _ in parts) == [8, 16, 16]
+            for a, b in ((0, 1), (0, 2), (1, 2)):
+                for k in range(2):
+                    assert not np.shares_memory(parts[a][k], parts[b][k])
 
     def test_divergence_epoch_equals_the_per_step_loop(self):
         # the epoch loss is computed after the epoch, yet the epoch in
@@ -488,6 +522,23 @@ class TestBatchLosses:
         want = [models.bce(prob[lo:lo + batch], y[lo:lo + batch])
                 for lo in range(0, n, batch)]
         assert losses.tolist() == want
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scratch_vectors_carry_nothing_between_calls(self, dtype):
+        # training reuses three scratch vectors for every epoch's losses;
+        # they start as NaN, and two calls with different scores and labels
+        # must each give their own batches' bce
+        n, batch = 1000, 64
+        scratch = [np.full(n, np.nan, dtype=dtype) for _ in range(3)]
+        rng = np.random.default_rng(7)
+        for _ in range(2):
+            prob = rng.random(n).astype(dtype)
+            prob[rng.integers(0, n, 50)] = rng.integers(0, 2, 50)
+            y = rng.integers(0, 2, n).astype(dtype)
+            losses = models._batch_losses(prob, y, batch, scratch)
+            want = [models.bce(prob[lo:lo + batch], y[lo:lo + batch])
+                    for lo in range(0, n, batch)]
+            assert losses.tolist() == want
 
 
 class TestPredictSoft:
@@ -620,6 +671,16 @@ class TestInference:
             monkeypatch.setattr(models, "_numpy_openblas", lambda: None)
             fallback = predict_soft(pred, xs)
         assert np.array_equal(fallback, threaded)
+
+    @pytest.mark.parametrize("count, calls", [(3, [1, 3]), (1, [])])
+    def test_a_count_of_one_is_left_alone(self, monkeypatch, count, calls):
+        # setting any count restarts the BLAS threads of a forked process
+        made = []
+        monkeypatch.setattr(models, "_numpy_openblas",
+                            lambda: (lambda: count, made.append))
+        with models._one_blas_thread() as pinned:
+            assert pinned
+        assert made == calls
 
     def test_blas_thread_count_is_restored(self, monkeypatch):
         blas = models._numpy_openblas()

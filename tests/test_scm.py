@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from rctbias import (ConfigurationError, Dataset, DomainError, ScmConfig,
                      analytic_ad, oracle_conditional_mean, sample_rct)
@@ -58,6 +59,25 @@ class TestSampleRct:
         b = sample_rct(config)
         for col in ("w", "t", "x", "y", "s"):
             assert np.array_equal(getattr(a, col), getattr(b, col))
+
+    @pytest.mark.parametrize("seed", [0, 17, 2 ** 64 - 1])
+    @pytest.mark.parametrize("sigma2_y", [1.0, 0.3])
+    def test_equals_the_out_of_place_formula(self, seed, sigma2_y):
+        # sample_rct clamps and transforms its uniforms in place; this is
+        # the same draw with a new array at every operation
+        n, p_t = 20000, 0.4
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        u = np.clip(rng.random((4, n)), 2.0 ** -53, None)
+        t = (u[0] < p_t).astype(np.int8)
+        w = ndtri(u[1])
+        x = t + w + ndtri(u[2])
+        y = ((x + np.sqrt(sigma2_y) * ndtri(u[3])) >= 0.0).astype(np.int8)
+        got = sample_rct(ScmConfig(p_t=p_t, sigma2_y=sigma2_y, n=n,
+                                   seed=seed))
+        for name, want in (("w", w), ("t", t), ("x", x), ("y", y)):
+            col = getattr(got, name)
+            assert col.dtype == want.dtype
+            assert col.tobytes() == want.tobytes(), name
 
     def test_distinct_seeds_differ(self):
         a = sample_rct(ScmConfig(0.5, 1.0, 1000, seed=1))
@@ -122,6 +142,14 @@ class TestDataset:
     def test_rejects_nonbinary_columns(self):
         with pytest.raises(ConfigurationError, match="binary"):
             Dataset(w=[0.0, 1.0], t=[0, 2], x=[0.0, 1.0], y=[0, 1], s=[1, 1])
+
+    def test_nonbinary_message_lists_the_values_found(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"column y must be binary, found values "
+                                 r"\[-1  0  1  2  5\]$"):
+            Dataset(w=np.zeros(7), t=np.ones(7, dtype=np.int8),
+                    x=np.zeros(7), y=np.array([5, 1, 0, 2, 9, -1, 1]),
+                    s=np.ones(7, dtype=np.int8))
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ConfigurationError, match="length"):
