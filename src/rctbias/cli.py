@@ -13,9 +13,10 @@ counts as not given), and is parsed after that choice. A study option left
 unset is not passed to ``harness.RunConfig``, nor an unset ``workers`` to
 ``harness.run_study``, so their defaults apply there.
 
-Exit codes: 0 on full success, 3 when a sweep finished with recorded
-per-run failures, 1 on any bad input or other error; a JSON summary goes
-to stderr on any nonzero exit. ``--help`` and ``--version`` exit 0.
+Exit codes: 0 on full success, 3 when a sweep finished (or a report
+re-rendered) with recorded per-run failures, 1 on any bad input or other
+error; a JSON summary goes to stderr on any nonzero exit. ``--help`` and
+``--version`` exit 0.
 """
 
 from __future__ import annotations
@@ -147,21 +148,11 @@ def _resolve(args: argparse.Namespace) -> dict:
 def _run_study(experiment: str, values: dict) -> int:
     out = values.pop("out")
     pool = {"workers": values.pop("workers")} if "workers" in values else {}
-    seeds = tuple(range(values.pop("seeds")))
-    seeds = values.pop("seed_list", seeds)
+    seeds = values.pop("seed_list", tuple(range(values.pop("seeds"))))
     config = harness.RunConfig(
         experiment=experiment, seeds=seeds,
         **{_FIELDS.get(name, name): value for name, value in values.items()})
-    report = harness.run_study(config, **pool)
-    _print_written(harness.emit_report(report, out))
-    print(f"runs: {len(report.runs)} ok, {len(report.errors)} failed "
-          f"(config_hash={report.config_hash})")
-    if report.errors:
-        json.dump({"status": "partial", "failed_runs": report.errors},
-                  sys.stderr, sort_keys=True)
-        sys.stderr.write("\n")
-        return 3
-    return 0
+    return _write(harness.run_study(config, **pool), out)
 
 
 def _cmd_mnist_gen(values: dict) -> int:
@@ -176,14 +167,22 @@ def _cmd_mnist_gen(values: dict) -> int:
 
 
 def _cmd_report(values: dict) -> int:
-    report = harness.report_from_json(values["input"])
-    _print_written(harness.emit_report(report, values["out"]))
-    return 0
+    return _write(harness.report_from_json(values["input"]), values["out"])
 
 
-def _print_written(paths) -> None:
-    for path in paths:
+def _write(report: harness.ExperimentReport, out: str) -> int:
+    """Emit ``report`` to ``out`` and print the paths and the run count; 3,
+    with the failed runs in a JSON summary, if any run failed, else 0."""
+    for path in harness.emit_report(report, out):
         print(f"wrote {path}")
+    print(f"runs: {len(report.runs)} ok, {len(report.errors)} failed "
+          f"(config_hash={report.config_hash})")
+    if report.errors:
+        json.dump({"status": "partial", "failed_runs": report.errors},
+                  sys.stderr, sort_keys=True)
+        sys.stderr.write("\n")
+        return 3
+    return 0
 
 
 COMMANDS = {

@@ -1,6 +1,6 @@
 """End-to-end experiment orchestration.
 
-Two studies are wired up:
+Two studies are wired up, each a record of ``STUDIES``:
 
 * the discretization-convergence study on the synthetic scalar RCT
   (a grid of sample sizes, a logistic scorer per cell, empirical
@@ -21,21 +21,23 @@ run is recorded.
 
 The config hash covers the experiment's identity (its RunConfig); how a
 sweep is executed (the worker count) and where it is written are not part
-of it. A report is its config, runs and errors: ``_report`` derives
-every other block from them, after a sweep and when a report is read.
+of it. A report is its config, runs and errors: its study's ``derive``
+computes every other block from them, on access.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import hashlib
+import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -54,18 +56,6 @@ MNIST_SCHEMES = {
 
 CONVERGENCE_EXPERIMENT = "convergence"
 MNIST_EXPERIMENT = "mnist_bias"
-
-# the keys that name a run of each study, in the order runs are reported
-IDENTITY = {CONVERGENCE_EXPERIMENT: ("n", "seed"),
-            MNIST_EXPERIMENT: ("scheme", "seed")}
-
-# each study's predictor and the training settings a RunConfig leaves None
-TRAINING_DEFAULTS = {
-    CONVERGENCE_EXPERIMENT: {"model_kind": "logistic", "learning_rate": 0.05,
-                             "epochs": 10, "batch_size": 256},
-    MNIST_EXPERIMENT: {"model_kind": "convnet", "learning_rate": 0.001,
-                       "epochs": 6, "batch_size": 64},
-}
 
 # the per-run evaluation metrics of the colored-digit study: the columns of
 # its metric table, its correlation matrices and its model-selection checks
@@ -92,16 +82,15 @@ class RunConfig:
     digit_threshold: int = 3
     schemes: tuple = ("random_few", "biased_few")
     validation_size: Optional[int] = None   # None: as large as the annotated pool
-    # training; None takes the study's TRAINING_DEFAULTS
+    # training; None takes the study's defaults (STUDIES)
     learning_rate: Optional[float] = None
     epochs: Optional[int] = None
     batch_size: Optional[int] = None
 
     def __post_init__(self):
-        if self.experiment not in (CONVERGENCE_EXPERIMENT, MNIST_EXPERIMENT):
-            raise ConfigurationError(
-                f"experiment must be '{CONVERGENCE_EXPERIMENT}' or "
-                f"'{MNIST_EXPERIMENT}', got {self.experiment!r}")
+        if self.experiment not in STUDIES:
+            raise ConfigurationError(f"unknown experiment {self.experiment!r}"
+                                     f"; choose from {tuple(STUDIES)}")
         for name in ("seeds", "sample_sizes", "schemes"):
             values = getattr(self, name)
             if len(values) == 0 or len(set(values)) != len(values):
@@ -138,7 +127,7 @@ class RunConfig:
     def train_config(self, seed: int) -> models.TrainConfig:
         """The training settings of one run: the study's defaults, with each
         training field that is not None in their place."""
-        settings = dict(TRAINING_DEFAULTS[self.experiment])
+        settings = dict(STUDIES[self.experiment].training)
         for name in ("learning_rate", "epochs", "batch_size"):
             if getattr(self, name) is not None:
                 settings[name] = getattr(self, name)
@@ -147,47 +136,26 @@ class RunConfig:
 
 @dataclass
 class ExperimentReport:
-    """Everything an experiment produced. The config, runs and errors are
-    its results; ``_report`` computes the aggregates, tests and correlations
-    from them, and the metric table and violins are derived on access."""
+    """Everything an experiment produced: its config, runs and errors. Its
+    study's ``derive`` computes the metric table, aggregates, tests,
+    correlations and violins from the config and runs, on access."""
 
     experiment: str
     config: dict
     config_hash: str
     tool_version: str
     runs: list = field(default_factory=list)
-    aggregates: dict = field(default_factory=dict)
-    tests: dict = field(default_factory=dict)
-    correlations: dict = field(default_factory=dict)
     errors: list = field(default_factory=list)
 
-    @property
-    def metric_table(self) -> Optional[list]:
-        """One row dict per colored-digit run: its seed, scheme, model kind
-        and METRIC_COLUMNS; None for the convergence study."""
-        if self.experiment != MNIST_EXPERIMENT:
-            return None
-        model_kind = TRAINING_DEFAULTS[MNIST_EXPERIMENT]["model_kind"]
-        return [{"seed": run["seed"], "scheme": run["scheme"],
-                 "model_kind": model_kind,
-                 **{name: run[name] for name in METRIC_COLUMNS}}
-                for run in self.runs]
+    def derived(self) -> dict:
+        """Every derived block by name, from one pass of the derivation."""
+        return STUDIES[self.experiment].derive(self.config, self.runs)
 
-    @property
-    def violins(self) -> dict:
-        """Per scheme with runs, the soft and discretized TERB of each run
-        (NaN where undefined); empty for the convergence study."""
-        by_scheme = {}
-        if self.experiment == MNIST_EXPERIMENT:
-            for run in self.runs:
-                by_scheme.setdefault(run["scheme"], []).append(
-                    (run["terb_full"], run["terb_full_discretized"]))
-        violins = {}
-        for scheme, pairs in by_scheme.items():
-            soft, hard = np.array(pairs, dtype=np.float64).T
-            violins[scheme] = {"terb_soft": soft.tolist(),
-                               "terb_hard": hard.tolist()}
-        return violins
+    metric_table = property(lambda self: self.derived()["metric_table"])
+    aggregates = property(lambda self: self.derived()["aggregates"])
+    tests = property(lambda self: self.derived()["tests"])
+    correlations = property(lambda self: self.derived()["correlations"])
+    violins = property(lambda self: self.derived()["violins"])
 
 
 def config_hash(config: RunConfig) -> str:
@@ -283,25 +251,18 @@ def _convergence_cell(task: dict) -> dict:
         reference_ate=analytic.analytic_ad(config.sigma2_y),
         threshold=config.threshold)
     quality = models.evaluate_predictions(scores, dataset.y)
-    return {
-        "n": n, "seed": seed,
-        "ead_soft": report.ead_soft, "ead_hard": report.ead_hard,
-        "ead_truth": report.ead_truth,
-        "teb_soft": report.teb_soft, "teb_hard": report.teb_hard,
-        "terb_soft": report.terb_soft, "terb_hard": report.terb_hard,
-        "bce": quality.bce, "accuracy": quality.accuracy,
-    }
+    return {"n": n, "seed": seed, **asdict(report), "bce": quality.bce,
+            "accuracy": quality.accuracy}
 
 
-def _aggregate_convergence(report: ExperimentReport,
-                           config: RunConfig) -> None:
-    ad_soft = analytic.analytic_ad(config.sigma2_y)
+def _derive_convergence(config: dict, runs: list) -> dict:
+    """Per sample size, the mean and spread of the cells' associational
+    differences and their distance to the two analytic limits."""
+    ad_soft = analytic.analytic_ad(config["sigma2_y"])
     ad_hard = analytic.analytic_discretized_ad()
-    report.aggregates["references"] = {
-        "analytic_ad": ad_soft, "analytic_discretized_ad": ad_hard}
     per_n = {}
-    for n in sorted({r["n"] for r in report.runs}):
-        cells = [r for r in report.runs if r["n"] == n]
+    for n in sorted({r["n"] for r in runs}):
+        cells = [r for r in runs if r["n"] == n]
         soft, hard = _column(cells, "ead_soft"), _column(cells, "ead_hard")
         per_n[str(n)] = {
             "runs": len(cells),
@@ -314,7 +275,10 @@ def _aggregate_convergence(report: ExperimentReport,
                 float(np.abs(hard - ad_hard).mean()),
             "abs_dev_hard_from_true_ad": float(np.abs(hard - ad_soft).mean()),
         }
-    report.aggregates["per_n"] = per_n
+    references = {"analytic_ad": ad_soft, "analytic_discretized_ad": ad_hard}
+    return {"metric_table": None, "tests": {}, "correlations": {},
+            "violins": {},
+            "aggregates": {"references": references, "per_n": per_n}}
 
 
 # --------------------------------------------------------------------------
@@ -375,34 +339,38 @@ def _mnist_run(task: dict) -> dict:
     }
 
 
-def _aggregate_mnist(report: ExperimentReport, config: RunConfig) -> None:
-    runs = report.runs
-
-    by_scheme = {}
-    for scheme in config.schemes:
+def _derive_mnist(config: dict, runs: list) -> dict:
+    """Per scheme with runs, the aggregates and violins; the hypothesis
+    tests, rank-correlation matrices and model-selection checks over the
+    sweep; and the metric table: one row per run of its seed, scheme,
+    model kind and METRIC_COLUMNS."""
+    aggregates, tests, correlations, violins, by_scheme = {}, {}, {}, {}, {}
+    for scheme in config["schemes"]:
         rows = [r for r in runs if r["scheme"] == scheme]
         if not rows:
             continue
         by_scheme[scheme] = rows
         terb = _column(rows, "terb_full")
         teb = _column(rows, "teb_full")
-        agg = {
+        aggregates.setdefault("per_scheme", {})[scheme] = {
             "runs": len(rows),
             "mean_teb": float(teb.mean()),
             "std_teb": float(teb.std(ddof=1)) if len(rows) > 1 else 0.0,
             "mean_abs_terb": float(np.abs(terb).mean()),
             "mean_accuracy_full": float(_column(rows, "accuracy_full").mean()),
         }
-        report.aggregates.setdefault("per_scheme", {})[scheme] = agg
+        # the soft and discretized TERB of each run, NaN where undefined
+        violins[scheme] = {"terb_soft": terb.tolist(), "terb_hard": _column(
+            rows, "terb_full_discretized").tolist()}
         if len(rows) >= 2:
             res = metrics.t_test(teb, mu0=0.0, sides="two")
-            report.tests.setdefault("teb_zero", {})[scheme] = asdict(res)
+            tests.setdefault("teb_zero", {})[scheme] = asdict(res)
 
     if len(runs) >= 2:
         res = metrics.paired_discretization_test(
             _column(runs, "abs_teb_full"),
             _column(runs, "abs_teb_full_discretized"))
-        report.tests["discretization_paired"] = asdict(res)
+        tests["discretization_paired"] = asdict(res)
 
     for biased, random_ in (("biased_few", "random_few"),
                             ("biased_many", "random_many")):
@@ -415,7 +383,7 @@ def _aggregate_mnist(report: ExperimentReport, config: RunConfig) -> None:
                 entry = asdict(res)
                 entry["mean_abs_terb_biased"] = float(abs_biased.mean())
                 entry["mean_abs_terb_random"] = float(abs_random.mean())
-                report.tests.setdefault("abs_terb_biased_vs_random", {})[
+                tests.setdefault("abs_terb_biased_vs_random", {})[
                     f"{biased}_vs_{random_}"] = entry
 
     groups = {"all": runs}
@@ -424,11 +392,11 @@ def _aggregate_mnist(report: ExperimentReport, config: RunConfig) -> None:
                         if MNIST_SCHEMES[r["scheme"]][0] == kind]
     for name, rows in groups.items():
         if len(rows) >= 3:
-            report.correlations[name] = metrics.spearman_matrix(
+            correlations[name] = metrics.spearman_matrix(
                 {column: _column(rows, column) for column in METRIC_COLUMNS})
     if len(runs) >= 3:
         abs_teb_full = _column(runs, "abs_teb_full")
-        report.aggregates["model_selection"] = {
+        aggregates["model_selection"] = {
             "spearman_absteb_val_vs_full": metrics.spearman(
                 _column(runs, "abs_teb_val"), abs_teb_full),
             "spearman_accuracy_val_vs_full_absteb": metrics.spearman(
@@ -436,6 +404,13 @@ def _aggregate_mnist(report: ExperimentReport, config: RunConfig) -> None:
             "spearman_balanced_accuracy_val_vs_full_absteb": metrics.spearman(
                 _column(runs, "balanced_accuracy_val"), abs_teb_full),
         }
+    model_kind = STUDIES[MNIST_EXPERIMENT].training["model_kind"]
+    metric_table = [{"seed": run["seed"], "scheme": run["scheme"],
+                     "model_kind": model_kind,
+                     **{name: run[name] for name in METRIC_COLUMNS}}
+                    for run in runs]
+    return {"metric_table": metric_table, "aggregates": aggregates,
+            "tests": tests, "correlations": correlations, "violins": violins}
 
 
 def _check_validation_fits(config: RunConfig, archive_size: int) -> None:
@@ -456,20 +431,39 @@ def _check_validation_fits(config: RunConfig, archive_size: int) -> None:
 
 
 # --------------------------------------------------------------------------
-# the study runner
+# the study table and runner
 
-def _report(config: RunConfig, runs: list, errors: list,
-            tool_version: str) -> ExperimentReport:
-    """The report of ``config``'s runs and errors, with the aggregates,
-    tests and correlations its study derives from them."""
-    report = ExperimentReport(
-        experiment=config.experiment, config=asdict(config),
-        config_hash=config_hash(config), tool_version=tool_version,
-        runs=runs, errors=errors)
-    aggregate = _aggregate_convergence \
-        if config.experiment == CONVERGENCE_EXPERIMENT else _aggregate_mnist
-    aggregate(report, config)
-    return report
+class Study(NamedTuple):
+    """What sets one study apart from the other."""
+    keys: dict        # run key -> the RunConfig field it sweeps, report order
+    training: dict    # the predictor; training settings RunConfig leaves None
+    run: str          # the name of the function that runs one task
+    cost: Callable    # task -> its cost; a pool runs costly tasks first
+    derive: Callable  # (config dict, runs) -> every derived block
+
+
+STUDIES = {
+    CONVERGENCE_EXPERIMENT: Study(
+        keys={"n": "sample_sizes", "seed": "seeds"},
+        training={"model_kind": "logistic", "learning_rate": 0.05,
+                  "epochs": 10, "batch_size": 256},
+        run="_convergence_cell", cost=lambda task: task["n"],
+        derive=_derive_convergence),
+    MNIST_EXPERIMENT: Study(
+        keys={"scheme": "schemes", "seed": "seeds"},
+        training={"model_kind": "convnet", "learning_rate": 0.001,
+                  "epochs": 6, "batch_size": 64},
+        run="_mnist_run", cost=lambda task: MNIST_SCHEMES[task["scheme"]][1],
+        derive=_derive_mnist),
+}
+
+
+def _cells(config: RunConfig) -> list:
+    """The run keys of each of ``config``'s tasks: one dict per element of
+    the product of the fields its study sweeps."""
+    keys = STUDIES[config.experiment].keys
+    return [dict(zip(keys, values)) for values in itertools.product(
+        *(getattr(config, name) for name in keys.values()))]
 
 
 def run_study(config: RunConfig, workers: int = 1) -> ExperimentReport:
@@ -484,26 +478,21 @@ def run_study(config: RunConfig, workers: int = 1) -> ExperimentReport:
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    if config.experiment == CONVERGENCE_EXPERIMENT:
-        tasks = [{"n": int(n), "seed": seed, "config": config}
-                 for n in config.sample_sizes for seed in config.seeds]
-        runs, errors = _sweep(_convergence_cell, tasks,
-                              IDENTITY[CONVERGENCE_EXPERIMENT], workers,
-                              cost=lambda task: task["n"])
-    else:
+    study, pool = STUDIES[config.experiment], {}
+    if config.experiment == MNIST_EXPERIMENT:
         # loaded once, before any run, so a bad archive is a bad input
         archive = mnist.load_idx(config.mnist_images, config.mnist_labels)
         _check_validation_fits(config, len(archive))
-        tasks = [{"scheme": scheme, "seed": seed, "config": config}
-                 for scheme in config.schemes for seed in config.seeds]
-        try:
-            runs, errors = _sweep(
-                _mnist_run, tasks, IDENTITY[MNIST_EXPERIMENT], workers,
-                cost=lambda task: MNIST_SCHEMES[task["scheme"]][1],
-                initializer=_init_mnist_worker, initargs=(archive,))
-        finally:
-            _init_mnist_worker(None)  # release what an in-process sweep set
-    return _report(config, runs, errors, __version__)
+        pool = {"initializer": _init_mnist_worker, "initargs": (archive,)}
+    tasks = [{**cell, "config": config} for cell in _cells(config)]
+    try:
+        # looked up when the sweep runs, as a pool pickles it: by name
+        runs, errors = _sweep(globals()[study.run], tasks, tuple(study.keys),
+                              workers, study.cost, **pool)
+    finally:
+        _init_mnist_worker(None)  # release what an in-process sweep set
+    return ExperimentReport(config.experiment, asdict(config),
+                            config_hash(config), __version__, runs, errors)
 
 
 # --------------------------------------------------------------------------
@@ -525,50 +514,47 @@ def _sanitize(obj):
 
 
 def report_to_dict(report: ExperimentReport) -> dict:
-    doc = {
-        "experiment": report.experiment,
-        "config": report.config,
-        "config_hash": report.config_hash,
-        "tool_version": report.tool_version,
-        "runs": report.runs,
-        "metric_table": report.metric_table,
-        "aggregates": report.aggregates,
-        "tests": report.tests,
-        "correlations": report.correlations,
-        "violins": report.violins,
-        "errors": report.errors,
-    }
-    return _sanitize(doc)
+    """The report's fields and every block derived from them, with NaN and
+    inf as None."""
+    return _sanitize({**asdict(report), **report.derived()})
 
 
-def _check_run_fields(run: dict, experiment: str) -> None:
-    """Raise ValueError unless ``run`` holds its study's identity keys, its
-    ``seed`` is an integer >= 0, its ``n`` an integer >= 1, and every other
-    field but a digit run's ``scheme`` (which the aggregation looks up) is
-    a number or null."""
-    identity = IDENTITY[experiment]
-    for name in identity:
-        if name not in run:
-            raise ValueError(f"a run has no {name}")
-    for name, value in run.items():
-        number = isinstance(value, (int, float)) \
-            and not isinstance(value, bool)
-        if name in ("seed", "n"):
-            least = int(name == "n")
-            if not (number and isinstance(value, int) and value >= least):
-                raise ValueError(f"run field {name} must be an integer >= "
-                                 f"{least}, got {value!r}")
-        elif name not in identity and not (value is None or number):
-            raise ValueError(f"run field {name} must be a number or null, "
-                             f"got {value!r}")
+def _check_runs(config: RunConfig, runs: list, errors: list) -> None:
+    """Raise ValueError unless each run and each error (a failed run) holds
+    its study's run keys, with ``seed`` an integer >= 0 and ``n`` an integer
+    >= 1; every other field of a run but a digit run's ``scheme`` (which the
+    derivation looks up) is a number or null; and the runs and errors hold
+    each task of ``config`` exactly once, as ``run_study`` sweeps them."""
+    keys = STUDIES[config.experiment].keys
+    rows = [("run", run) for run in runs] + [("failed run", e) for e in errors]
+    for kind, row in rows:
+        for name in keys:
+            if name not in row:
+                raise ValueError(f"a {kind} has no {name}")
+        for name, value in row.items():  # JSON values; a bool is no int
+            if name in ("seed", "n"):
+                least = int(name == "n")
+                if not (type(value) is int and value >= least):
+                    raise ValueError(f"{kind} field {name} must be an integer "
+                                     f">= {least}, got {value!r}")
+            elif kind == "run" and name not in keys \
+                    and not (value is None or type(value) in (int, float)):
+                raise ValueError(f"run field {name} must be a number or null, "
+                                 f"got {value!r}")
+    found = collections.Counter(tuple(map(row.get, keys)) for _, row in rows)
+    tasks = collections.Counter(tuple(cell.values()) for cell in _cells(config))
+    if found != tasks:
+        raise ValueError(f"runs and errors must hold each task of the config "
+                         f"once: missing {list(tasks - found)}, extra "
+                         f"{list(found - tasks)}")
 
 
 def report_from_json(path) -> ExperimentReport:
-    """Rebuild a stored report from its config, runs and errors with
-    ``run_study``'s builder, keeping its tool_version. Raises
+    """Rebuild a stored report from its config, runs and errors, keeping
+    its tool_version. Raises
     ConfigurationError, naming the file, unless RunConfig accepts its config,
     its experiment and hash match, its runs derive every other block, and
-    each run's fields have their types (``_check_run_fields``)."""
+    its runs and errors are its config's tasks (``_check_runs``)."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -584,10 +570,10 @@ def report_from_json(path) -> ExperimentReport:
         if config.experiment != experiment or config_hash(config) != digest:
             raise ConfigurationError(f"experiment {experiment!r} or hash "
                                      f"{digest!r} does not match its config")
-        report = _report(config, runs, errors, tool_version)
-        report_to_dict(report)  # evaluates the metric table and violins
-        for run in runs:
-            _check_run_fields(run, experiment)
+        report = ExperimentReport(experiment, asdict(config), digest,
+                                  tool_version, runs, errors)
+        report.derived()
+        _check_runs(config, runs, errors)
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigurationError(
             f"{path} is not a stored report: {exc!r}") from None
@@ -607,49 +593,49 @@ def emit_report(report: ExperimentReport, out_dir) -> list:
     except OSError as exc:
         raise ConfigurationError(f"cannot create output directory {out_dir}: "
                                  f"{exc}") from exc
+    doc = report_to_dict(report)
     path = out_dir / "report.json"
-    payload = json.dumps(report_to_dict(report), sort_keys=True, indent=2,
-                         allow_nan=False)
-    path.write_text(payload + "\n")
-    return [path] + _emit_csv_bundle(report, out_dir)
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2,
+                               allow_nan=False) + "\n")
+    return [path] + _emit_csv_bundle(doc, out_dir)
 
 
 def _csv_cell(value) -> str:
-    """Empty for None or NaN, the repr of a float, else the value's str."""
-    value = _sanitize(value)
+    """Empty for None (a NaN of the report), the repr of a float, else the
+    value's str."""
     if value is None:
         return ""
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _emit_csv_bundle(report: ExperimentReport, out_dir: Path) -> list:
-    """Write each CSV file: the config-hash stamp, a header line, then one
-    line per row."""
+def _emit_csv_bundle(doc: dict, out_dir: Path) -> list:
+    """Write each CSV file of the report document ``doc``: the config-hash
+    stamp, a header line, then one line per row."""
     files = {}   # file name -> (header, rows)
-    table, violins = report.metric_table, report.violins
+    table, violins, runs = doc["metric_table"], doc["violins"], doc["runs"]
     if table is not None:
         header = ("seed", "scheme", "model_kind") + METRIC_COLUMNS
         files["metrics.csv"] = (header, [[row[k] for k in header]
                                          for row in table])
-    if report.runs:
-        keys = sorted({k for run in report.runs for k in run})
+    if runs:
+        keys = sorted({k for run in runs for k in run})
         files["runs.csv"] = (keys, [[run.get(k) for k in keys]
-                                    for run in report.runs])
+                                    for run in runs])
     if violins:
         files["violins.csv"] = (("scheme", "series", "index", "value"), [
             (scheme, series, i, value)
             for scheme in sorted(violins)
             for series in sorted(violins[scheme])
             for i, value in enumerate(violins[scheme][series])])
-    for group in sorted(report.correlations):
-        payload = report.correlations[group]
+    for group in sorted(doc["correlations"]):
+        payload = doc["correlations"][group]
         files[f"correlations_{group}.csv"] = (
             ["metric", *payload["columns"]],
             [[name, *row] for name, row in zip(payload["columns"],
                                                payload["matrix"])])
     written = []
     for name, (header, rows) in files.items():
-        lines = [f"# config_hash={report.config_hash}", ",".join(header)]
+        lines = [f"# config_hash={doc['config_hash']}", ",".join(header)]
         lines += [",".join(map(_csv_cell, row)) for row in rows]
         path = out_dir / name
         path.write_text("\n".join(lines) + "\n")

@@ -472,6 +472,21 @@ def _edit_first_run(**fields):
      "run field accuracy must be a number or null, got 'abc'"),
     ("simulate", _edit_first_run(teb_soft={}),
      "run field teb_soft must be a number or null, got {}"),
+    # the runs and errors are the config's tasks, each once
+    ("simulate", _edit_first_run(n=5000),
+     "missing [(1000, 0)], extra [(5000, 0)]"),
+    ("experiment", lambda doc: doc["runs"].append(doc["runs"][0]),
+     "missing [], extra [('biased_few', 0)]"),
+    ("simulate", lambda doc: doc["errors"].append({"foo": 1}),
+     "a failed run has no n"),
+    ("experiment", lambda doc: doc["errors"].append(
+        {"scheme": "random_few", "seed": 2, "error": "X", "message": ""}),
+     "missing [], extra [('random_few', 2)]"),
+    ("simulate", lambda doc: doc["runs"].pop(), "missing [(1500, 1)], "
+     "extra []"),
+    ("simulate", lambda doc: doc["errors"].append(
+        {"n": 1000.0, "seed": 0, "error": "X", "message": ""}),
+     "failed run field n must be an integer >= 1, got 1000.0"),
 ], ids=["digit-run-without-seed", "digit-run-empty", "cell-empty",
         "edited-hash", "other-experiment", "epochs-zero", "fractional-seed",
         "unknown-config-field", "config-not-an-object", "text-terb",
@@ -481,7 +496,9 @@ def _edit_first_run(**fields):
         "digit-ead-truth-text", "digit-field-boolean", "cell-seed-text",
         "cell-seed-list", "cell-seed-object", "cell-seed-negative",
         "cell-without-seed", "cell-n-zero", "cell-n-float",
-        "cell-field-a-list", "cell-field-text", "cell-field-object"])
+        "cell-field-a-list", "cell-field-text", "cell-field-object",
+        "cell-outside-the-sweep", "digit-run-twice", "error-without-keys",
+        "digit-run-and-error", "cell-missing", "error-n-float"])
 def test_malformed_stored_report_fails_before_output(tmp_path, capsys,
                                                      command, edit, named,
                                                      stored_reports):
@@ -498,6 +515,26 @@ def test_malformed_stored_report_fails_before_output(tmp_path, capsys,
     assert str(given) in summary["message"]
     assert named in summary["message"]
     assert not out.exists()
+
+
+def test_report_with_failed_runs_exits_3(tmp_path, capsys, stored_reports):
+    doc = json.loads((stored_reports["simulate"] / "report.json").read_text())
+    run = doc["runs"].pop()
+    doc["errors"] = [{"n": run["n"], "seed": run["seed"],
+                      "error": "TrainingError", "message": "diverged"}]
+    given = tmp_path / "given.json"
+    given.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(["report", "--input", str(given),
+                                 "--out", str(out)], capsys)
+    assert code == 3
+    assert json.loads(err) == {"status": "partial",
+                               "failed_runs": doc["errors"]}
+    assert f"wrote {out / 'report.json'}" in stdout
+    assert (f"runs: 3 ok, 1 failed (config_hash={doc['config_hash']})"
+            in stdout)
+    assert json.loads((out / "report.json").read_text())["errors"] == \
+        doc["errors"]
 
 
 def test_negative_workers_flag_fails(tmp_path, capsys):

@@ -53,6 +53,6 @@ def test_every_exported_name_is_used_by_a_pipeline():
 
 
 def test_every_model_kind_is_the_predictor_of_a_study():
-    study_kinds = {defaults["model_kind"]
-                   for defaults in harness.TRAINING_DEFAULTS.values()}
+    study_kinds = {study.training["model_kind"]
+                   for study in harness.STUDIES.values()}
     assert set(models.MODEL_KINDS) <= study_kinds, models.MODEL_KINDS

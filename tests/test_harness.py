@@ -4,12 +4,13 @@ import json
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from rctbias import ConfigurationError
-from rctbias import harness, metrics, models
+from rctbias import harness, models
 from rctbias.harness import (CONVERGENCE_EXPERIMENT, MNIST_EXPERIMENT,
                              RunConfig, emit_report, report_from_json,
                              run_study)
@@ -299,6 +300,29 @@ def test_one_worker_sweep_releases_the_archive(monkeypatch, ending,
     assert harness._WORKER_ARCHIVE is None
 
 
+@pytest.mark.parametrize("experiment", [CONVERGENCE_EXPERIMENT,
+                                        MNIST_EXPERIMENT])
+def test_a_report_derives_every_block_from_its_six_fields(
+        tmp_path, experiment, digit_archive_paths):
+    images, labels = digit_archive_paths
+    study = {CONVERGENCE_EXPERIMENT: {"sample_sizes": (1000, 1500)},
+             MNIST_EXPERIMENT: {"schemes": ("random_few",), "epochs": 1,
+                                "mnist_images": images,
+                                "mnist_labels": labels}}[experiment]
+    emit_report(run_study(RunConfig(experiment=experiment, seeds=(0, 1, 2),
+                                    **study)), tmp_path)
+    doc = json.loads((tmp_path / "report.json").read_text())
+    fields = ("experiment", "config", "config_hash", "tool_version", "runs",
+              "errors")
+    derived = {"metric_table", "aggregates", "tests", "correlations",
+               "violins"}
+    assert set(doc) == set(fields) | derived
+    if experiment == MNIST_EXPERIMENT:
+        assert all(doc[block] for block in derived)
+    rebuilt = harness.ExperimentReport(**{name: doc[name] for name in fields})
+    assert harness.report_to_dict(rebuilt) == doc
+
+
 class TestEmission:
     def make_report(self):
         config = RunConfig(experiment=CONVERGENCE_EXPERIMENT, seeds=(0, 1),
@@ -315,8 +339,9 @@ class TestEmission:
 
     def test_empty_report_is_valid_json(self, tmp_path):
         report = harness.ExperimentReport(
-            experiment=CONVERGENCE_EXPERIMENT, config={}, config_hash="x",
-            tool_version="0")
+            experiment=CONVERGENCE_EXPERIMENT,
+            config=asdict(RunConfig(experiment=CONVERGENCE_EXPERIMENT)),
+            config_hash="x", tool_version="0")
         assert emit_report(report, tmp_path) == [tmp_path / "report.json"]
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["runs"] == []
@@ -351,18 +376,18 @@ class TestEmission:
         runs = [{"scheme": "random_few", "seed": seed,
                  **dict(zip(harness.METRIC_COLUMNS, rng.random(8).tolist())),
                  "bce_val": 0.5,   # constant, so its correlations are NaN
-                 "terb_full": 0.1 * seed, "terb_full_discretized": 0.2}
+                 "teb_full": 0.05 * seed, "terb_full": 0.1 * seed,
+                 "terb_full_discretized": 0.2}
                 for seed in range(4)]
+        config = RunConfig(experiment=MNIST_EXPERIMENT, mnist_images="x",
+                           mnist_labels="y")
         report = harness.ExperimentReport(
-            experiment=MNIST_EXPERIMENT, config={}, config_hash="x",
-            tool_version="0", runs=runs)
-        report.correlations["all"] = metrics.spearman_matrix(
-            {name: [run[name] for run in runs]
-             for name in harness.METRIC_COLUMNS})
+            experiment=MNIST_EXPERIMENT, config=asdict(config),
+            config_hash="x", tool_version="0", runs=runs)
         paths = emit_report(report, tmp_path)
         assert [p.name for p in paths] == [
             "report.json", "metrics.csv", "runs.csv", "violins.csv",
-            "correlations_all.csv"]
+            "correlations_all.csv", "correlations_random.csv"]
         for path in paths:
             assert b"\r" not in path.read_bytes(), path.name
         lines = (tmp_path / "correlations_all.csv").read_text().splitlines()
